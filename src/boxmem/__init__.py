@@ -5,8 +5,7 @@ from .analysis import (ExtremaReport, FitResult, find_extrema,
                        fit_double_exponential, fit_exponential)
 from .constants import CONSTANTS, PhysicalConstants
 from .ensemble import (AtomEnsemble, mechanical_energy, propagate,
-                       propagate_record, reflect_specular,
-                       sample_thermal_ensemble)
+                       propagate_record, sample_thermal_ensemble)
 from .geometry import RingPotential, TrapGeometry, potential_at
 from .lightshift import (CompensationSpec, ShiftField, calibrate_wall_width,
                          differential_shift, ensemble_coherence,

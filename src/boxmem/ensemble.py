@@ -6,6 +6,11 @@ counter-based Philox generator keyed by the 64-bit master seed; samples are
 drawn in fixed atom-index order, so results are reproducible regardless of
 how downstream consumers chunk the arrays.
 
+Hard walls are event-driven (Alder & Wainwright, J. Chem. Phys. 31, 459
+(1959); Lehtihet & Miller, Physica D 21, 93 (1986)): an atom flies its exact
+free-fall parabola to the next wall hit, the first root of a quartic in
+time.  Soft walls are integrated with velocity-Verlet sub-steps.
+
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
 
@@ -18,6 +23,9 @@ from .errors import ConfigurationError, NumericalError
 from .geometry import TrapGeometry, axial_force, transverse_force
 
 DEFAULT_DT = 5e-6  # s, sub-step; thermal atoms move ~0.3 um per step
+ON_WALL = 1e-13  # |rho^2 / R^2 - 1| on the hard wall; bounces leave ~1e-16
+WALL_TOL = 1e-12  # relative distance past the hard wall that counts as out
+MAX_BOUNCE_ROUNDS = 10_000  # bounces of one atom in one call: stuck
 
 
 @dataclass
@@ -66,6 +74,8 @@ def sample_thermal_ensemble(
         raise ValueError("n must be >= 1")
     if not np.isfinite(temperature) or temperature < 0:
         raise ValueError("temperature must be finite and non-negative")
+    if not np.isfinite(gravity):
+        raise ValueError("gravity must be finite")
     if spatial not in ("thermal", "uniform"):
         raise ValueError("spatial must be 'thermal' or 'uniform'")
 
@@ -100,45 +110,6 @@ def sample_thermal_ensemble(
     return AtomEnsemble(positions, velocities)
 
 
-def reflect_specular(ensemble: AtomEnsemble, trap: TrapGeometry,
-                     margin: float = 1e-6) -> AtomEnsemble:
-    """Project boundary-crossing atoms back onto the boundary and reverse
-    the outward normal velocity component.  Speed is preserved exactly.
-
-    Raises NumericalError if any atom is further than ``margin`` beyond
-    the boundary (more than one sub-step of penetration).
-    """
-    out = ensemble.copy()
-    pos, vel, alive = out.positions, out.velocities, out.alive
-
-    rho = np.hypot(pos[:, 0], pos[:, 1])
-    hit = alive & (rho >= trap.radius)
-    if np.any(rho[alive] > trap.radius + margin):
-        raise NumericalError("atom beyond the cylinder wall by more than "
-                             f"{margin:g} m")
-    if np.any(hit):
-        nx = pos[hit, 0] / rho[hit]
-        ny = pos[hit, 1] / rho[hit]
-        pos[hit, 0] = trap.radius * nx
-        pos[hit, 1] = trap.radius * ny
-        vn = vel[hit, 0] * nx + vel[hit, 1] * ny
-        outward = vn > 0
-        vel[hit, 0] -= np.where(outward, 2.0 * vn * nx, 0.0)
-        vel[hit, 1] -= np.where(outward, 2.0 * vn * ny, 0.0)
-
-    half = trap.length / 2.0
-    zhit = alive & (np.abs(pos[:, 2]) >= half)
-    if np.any(np.abs(pos[alive, 2]) > half + margin):
-        raise NumericalError("atom beyond an end cap by more than "
-                             f"{margin:g} m")
-    if np.any(zhit):
-        sz = np.sign(pos[zhit, 2])
-        pos[zhit, 2] = sz * half
-        vz = vel[zhit, 2]
-        vel[zhit, 2] = np.where(vz * sz > 0, -vz, vz)
-    return out
-
-
 def _fold_axial(z, vz, half):
     """Exact end-cap reflections of decoupled linear axial motion."""
     period = 4.0 * half
@@ -149,86 +120,112 @@ def _fold_axial(z, vz, half):
     return z_f, vz_f
 
 
-def _resolve_cylinder_crossings(p0, v0, p1, v1, dt, radius, g, iters=60):
-    """Reflect atoms that crossed the cylinder wall during a parabolic step.
+def _first_root(coef, horizon):
+    """First root in (0, horizon] at which sum_k coef[:, k] t**k rises
+    through zero, np.inf where there is none; one polynomial per row.
 
-    p0/v0 are pre-step, p1/v1 the tentative post-step states; crossing
-    times are located by bisection on rho^2(t) - R^2 over [0, dt], the
-    bounce is applied at the wall, and the remainder of the step replayed.
-    Transverse (x, y) only; axial motion is handled separately.
+    The roots are the eigenvalues of the companion matrix of the polynomial
+    in s = t / horizon, each polished by one Newton step in t.
     """
-    for _ in range(6):
-        rho1 = np.hypot(p1[:, 0], p1[:, 1])
-        idx = np.flatnonzero(rho1 > radius * (1.0 + 1e-14))
+    m, deg = coef.shape[0], coef.shape[1] - 1
+    a = coef * horizon[:, None] ** np.arange(deg + 1)
+    comp = np.zeros((m, deg, deg))
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    comp[:, :, -1] = -a[:, :-1] / a[:, -1:]
+    s = np.linalg.eigvals(comp)
+    t = np.where(np.abs(s.imag) <= 1e-6, s.real, np.nan) * horizon[:, None]
+    f = np.zeros_like(t)
+    df = np.zeros_like(t)
+    for k in range(deg, -1, -1):                # Horner, value and slope
+        df = df * t + f
+        f = f * t + coef[:, k, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = f / df
+    # a near-double root has a vanishing slope; keep it unpolished
+    t = np.where(np.abs(step) <= 1e-6 * horizon[:, None], t - step, t)
+    rising = (t > 0) & (t <= horizon[:, None]) & (df >= 0)
+    return np.where(rising, t, np.inf).min(axis=1)
+
+
+def _next_hit(x, y, vx, vy, horizon, g, r2):
+    """Time of each atom's first outward hit of the wall rho = R within
+    [0, horizon] of free fall, np.inf where it has none.
+
+    Along the parabola rho^2(t) - R^2 = c0 + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
+    For an atom on the wall c0 is rounding noise and the factor
+    c1 + c2 t + c3 t^2 + c4 t^3 is solved instead, which leaves out the
+    root at t = 0.
+    """
+    v2 = vx * vx + vy * vy
+    c0 = x * x + y * y - r2
+    c1 = 2.0 * (x * vx + y * vy)
+    c4 = 0.25 * g * g
+    on_wall = np.abs(c0) <= ON_WALL * r2
+    # rise(t) = (v2 + g |y| + g |vy| t + c4 t^2) t bounds c2 t + c3 t^2 +
+    # c4 t^3 from above, so f(t) <= c0 + (max(c1, 0) + rise(t)) t, and
+    # f(t) / t <= c1 + rise(t) on the wall; neither bound decreases with t,
+    # so an atom whose bound is negative at the horizon cannot hit before it
+    rise = (v2 + g * np.abs(y)
+            + (g * np.abs(vy) + c4 * horizon) * horizon) * horizon
+    wall = on_wall & (c1 + rise > 0)
+    inside = ~on_wall & (c0 + (np.maximum(c1, 0.0) + rise) * horizon >= 0)
+    t_hit = np.full(len(x), np.inf)
+    # leaving now: reflect at once; a c1 within rounding of 0 is left to the
+    # factor, whose root near 0 is no hit unless the path is pressed outward
+    leaving = wall & (c1 > 1e-12 * np.sqrt(r2 * v2))
+    t_hit[leaving] = 0.0
+    wall &= ~leaving
+    if g == 0.0:
+        t_hit[wall] = -c1[wall] / v2[wall]
+        a, b, c = v2[inside], c1[inside], c0[inside]
+        sq = np.sqrt(b * b - 4.0 * a * c)
+        t_hit[inside] = np.where(b > 0, -2.0 * c / (b + sq),
+                                 (sq - b) / (2.0 * a))
+    else:
+        for sel, first in ((wall, 1), (inside, 0)):   # no c0 on the wall
+            coef = np.column_stack((c0[sel], c1[sel], v2[sel] - g * y[sel],
+                                    -g * vy[sel], np.full(sel.sum(), c4)))
+            t_hit[sel] = _first_root(coef[:, first:], horizon[sel])
+    return t_hit
+
+
+def _fly_hard(pos, vel, interval, radius, g):
+    """Exact transverse flight inside the hard cylinder wall, in place.
+
+    Each atom flies its free-fall parabola to the end of ``interval`` or to
+    its first outward wall hit, whichever comes first.  A hit places it on
+    the wall and reflects its velocity specularly, and the atoms that hit
+    fly on for the time they have left.  Axial motion is left alone.
+    """
+    r2 = radius * radius
+    x, y, vx, vy = pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1]
+    idx = np.arange(len(pos))
+    left = np.full(len(pos), float(interval))
+    for _ in range(MAX_BOUNCE_ROUNDS):
+        horizon = left[idx]
+        t = _next_hit(x[idx], y[idx], vx[idx], vy[idx], horizon, g, r2)
+        hit = t <= horizon
+        t = np.where(hit, t, horizon)
+        x[idx] += vx[idx] * t
+        y[idx] += (vy[idx] - 0.5 * g * t) * t
+        vy[idx] -= g * t
+        left[idx] = horizon - t
+        idx = idx[hit]
+        rho = np.hypot(x[idx], y[idx])
+        nx, ny = x[idx] / rho, y[idx] / rho
+        x[idx], y[idx] = radius * nx, radius * ny
+        vn = np.maximum(vx[idx] * nx + vy[idx] * ny, 0.0)
+        vx[idx] -= 2.0 * vn * nx
+        vy[idx] -= 2.0 * vn * ny
         if idx.size == 0:
             break
-        x0, y0 = p0[idx, 0], p0[idx, 1]
-        vx0, vy0 = v0[idx, 0], v0[idx, 1]
-        dts = dt if np.isscalar(dt) else dt[idx]
-
-        def rho2(t):
-            x = x0 + vx0 * t
-            y = y0 + vy0 * t - 0.5 * g * t * t
-            return x * x + y * y
-
-        lo = np.zeros(idx.size)
-        hi = np.full(idx.size, 1.0) * dts
-        r2 = radius * radius
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            outside = rho2(mid) > r2
-            hi = np.where(outside, mid, hi)
-            lo = np.where(outside, lo, mid)
-        tc = 0.5 * (lo + hi)
-
-        xc = x0 + vx0 * tc
-        yc = y0 + vy0 * tc - 0.5 * g * tc * tc
-        vxc = vx0
-        vyc = vy0 - g * tc
-        rc = np.hypot(xc, yc)
-        # place exactly on the wall, then specular bounce
-        scale = radius / rc
-        xc *= scale
-        yc *= scale
-        nx, ny = xc / radius, yc / radius
-        vn = vxc * nx + vyc * ny
-        vxc -= 2.0 * vn * nx
-        vyc -= 2.0 * vn * ny
-
-        rem = dts - tc
-        p0[idx, 0], p0[idx, 1] = xc, yc
-        v0[idx, 0], v0[idx, 1] = vxc, vyc
-        p1[idx, 0] = xc + vxc * rem
-        p1[idx, 1] = yc + vyc * rem - 0.5 * g * rem * rem
-        v1[idx, 0] = vxc
-        v1[idx, 1] = vyc - g * rem
-        if np.isscalar(dt):
-            dt = np.full(len(p0), dt)
-        dt[idx] = rem
     else:
-        # Pathological residue (atom grazing the lowest wall point): project
-        # back onto the wall and rescale the speed so kinetic + m g y is
-        # exactly preserved.
-        rho1 = np.hypot(p1[:, 0], p1[:, 1])
-        idx = np.flatnonzero(rho1 > radius)
-        if np.any(rho1[idx] > radius + 1e-9):
-            raise NumericalError("unresolved wall crossing after 6 bounce passes")
-        if idx.size:
-            y_old = p1[idx, 1]
-            scale = radius / rho1[idx]
-            p1[idx, 0] *= scale
-            p1[idx, 1] *= scale
-            nx = p1[idx, 0] / radius
-            ny = p1[idx, 1] / radius
-            vn = v1[idx, 0] * nx + v1[idx, 1] * ny
-            outward = vn > 0
-            v1[idx, 0] -= np.where(outward, 2.0 * vn * nx, 0.0)
-            v1[idx, 1] -= np.where(outward, 2.0 * vn * ny, 0.0)
-            v2_old = v1[idx, 0] ** 2 + v1[idx, 1] ** 2 + v1[idx, 2] ** 2
-            v2_new = np.maximum(v2_old + 2.0 * g * (y_old - p1[idx, 1]), 0.0)
-            factor = np.sqrt(np.where(v2_old > 0, v2_new / np.maximum(v2_old, 1e-300), 1.0))
-            v1[idx] *= factor[:, None]
-    return p1, v1
+        raise NumericalError(
+            f"an atom hit the wall more than {MAX_BOUNCE_ROUNDS} times in "
+            "one interval (grazing contact)")
+    if not np.all(np.hypot(x, y) <= radius * (1.0 + WALL_TOL)):
+        raise NumericalError("atom outside the cylinder wall (non-finite "
+                             "state or grazing contact)")
 
 
 def _check_substep(ensemble, dt, trap):
@@ -258,10 +255,12 @@ def propagate(
 ) -> AtomEnsemble:
     """Advance alive atoms ballistically from t_start to t_end.
 
-    Constant gravity, no interatomic interactions.  Hard walls give exact
-    in-step specular bounces (bisection for the cylinder, analytic fold
-    for the end caps); soft walls integrate -grad U with velocity-Verlet.
-    Dead atoms are returned unchanged.
+    Constant gravity, no interatomic interactions.  Hard walls are exact
+    and event-driven: each atom flies its free-fall parabola from one wall
+    hit to the next (the first root of the quartic rho(t)^2 = R^2), and the
+    end caps fold the axial motion analytically; ``dt`` then only enters
+    the step guard.  Soft walls integrate -grad U with velocity-Verlet in
+    sub-steps of ``dt``.  Dead atoms are returned unchanged.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
@@ -279,18 +278,15 @@ def propagate(
     remaining = t_end - t_start
     half = trap.length / 2.0
     m = constants.m_atom
-    while remaining > 1e-18:
-        step = min(dt, remaining)
-        remaining -= step
-        if trap.wall_model == "hard":
-            p1 = pos.copy()
-            v1 = vel.copy()
-            p1[:, 0] = pos[:, 0] + vel[:, 0] * step
-            p1[:, 1] = pos[:, 1] + vel[:, 1] * step - 0.5 * gravity * step**2
-            v1[:, 1] = vel[:, 1] - gravity * step
-            p1, v1 = _resolve_cylinder_crossings(
-                pos.copy(), vel.copy(), p1, v1, step, trap.radius, gravity)
-        else:
+    if trap.wall_model == "hard":
+        _fly_hard(pos, vel, remaining, trap.radius, gravity)
+        if trap.endcap_model == "hard":
+            pos[:, 2], vel[:, 2] = _fold_axial(
+                pos[:, 2] + vel[:, 2] * remaining, vel[:, 2], half)
+    else:
+        while remaining > 1e-18:
+            step = min(dt, remaining)
+            remaining -= step
             acc = transverse_force(pos[:, :2], trap.ring, constants.k_B) / m
             az = (axial_force(pos[:, 2], trap.ring, half, constants.k_B) / m
                   if trap.endcap_model == "soft" else 0.0)
@@ -304,11 +300,12 @@ def propagate(
             a1 = np.column_stack((acc1[:, 0], acc1[:, 1] - gravity,
                                   np.broadcast_to(az1, len(pos))))
             v1 = vh + 0.5 * step * a1
-        if trap.endcap_model == "hard":
-            zf, vzf = _fold_axial(pos[:, 2] + vel[:, 2] * step, v1[:, 2], half)
-            p1[:, 2] = zf
-            v1[:, 2] = vzf
-        pos, vel = p1, v1
+            if trap.endcap_model == "hard":
+                zf, vzf = _fold_axial(pos[:, 2] + vel[:, 2] * step,
+                                      v1[:, 2], half)
+                p1[:, 2] = zf
+                v1[:, 2] = vzf
+            pos, vel = p1, v1
 
     out.positions[alive] = pos
     out.velocities[alive] = vel
@@ -326,7 +323,7 @@ def propagate_record(
     """Positions of all atoms at each requested time, shape (n_times, n, 3).
 
     ``times`` must be non-decreasing and start at >= 0 (the ensemble's own
-    epoch).  The trajectory between sample times uses sub-steps of ``dt``.
+    epoch).  Between sample times atoms move as in :func:`propagate`.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:

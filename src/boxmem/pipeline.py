@@ -52,7 +52,7 @@ class ScenarioConfig:
     grid_extent: float = 150e-6         # m
     grid_resolution: int = 128
     kde_bandwidth: float = 10e-6        # m
-    dt: float = 5e-6                    # s, propagation sub-step
+    dt: float = 5e-6                    # s, soft-wall sub-step and step guard
     seed: int = 0
     workers: int = 1
 
@@ -67,6 +67,7 @@ class ScenarioConfig:
              "must be 'hard' or 'soft'"),
             ("wall_width", self.wall_width > 0, "must be positive"),
             ("trap_depth", self.trap_depth >= 0, "must be non-negative"),
+            ("gravity", np.isfinite(self.gravity), "must be finite"),
             ("mode_waist", self.mode_waist > 0, "must be positive"),
             ("spatial", self.spatial in ("thermal", "uniform"),
              "must be 'thermal' or 'uniform'"),
@@ -81,6 +82,8 @@ class ScenarioConfig:
             ("grid_resolution", self.grid_resolution >= 8, "must be >= 8"),
             ("kde_bandwidth", self.kde_bandwidth > 0, "must be positive"),
             ("dt", self.dt > 0, "must be positive"),
+            ("seed", 0 <= self.seed <= 2**64 - 1,
+             "must lie in [0, 2**64 - 1]"),
             ("workers", self.workers >= 1, "must be >= 1"),
         ]
         for name, ok, msg in checks:
@@ -103,9 +106,8 @@ class ScenarioConfig:
         return self.gravity if self.gravity_on else 0.0
 
 
-# all presets use hard walls, where each sub-step is an exact parabolic
-# flight with bisection-resolved bounces, so the coarser 20 us sub-step
-# loses no accuracy (the guard in propagate still enforces crossing safety)
+# all presets use hard walls, which propagate solves exactly from bounce to
+# bounce; there dt only sets the step guard, not the accuracy
 _PRESET_DT = 2e-5
 
 PRESETS = {

@@ -54,6 +54,22 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
+    assert main(["simulate", "--preset", "centered", "--seed", str(seed),
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert "seed:" in capsys.readouterr().err
+
+
+def test_simulate_nonfinite_gravity_exits_2(tmp_path, capsys):
+    # the barometric rejection sampler never accepts at NaN gravity
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[scenario]\natoms = 100\ngravity_m_s2 = nan\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "c.csv")]) == 2
+    assert "gravity:" in capsys.readouterr().err
+
+
 def test_fit_exp(tmp_path, capsys):
     path = tmp_path / "c.csv"
     make_curve_csv(path, tau=0.025)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import (AtomEnsemble, mechanical_energy, propagate,
-                             propagate_record, reflect_specular,
-                             sample_thermal_ensemble)
-from boxmem.errors import ConfigurationError
+                             propagate_record, sample_thermal_ensemble)
+from boxmem.errors import ConfigurationError, NumericalError
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 
 TRAP = TrapGeometry()
@@ -83,18 +84,103 @@ def test_invalid_args():
         sample_thermal_ensemble(10, TRAP, -1e-6)
     with pytest.raises(ValueError):
         sample_thermal_ensemble(10, TRAP, T15, spatial="gaussian")
+    with pytest.raises(ValueError):
+        sample_thermal_ensemble(10, TRAP, T15, gravity=math.nan)
 
 
-def test_reflection_preserves_speed():
-    pos = np.array([[96e-6, 0.0, 0.0]])       # just outside the cylinder
-    vel = np.array([[30e-3, 10e-3, 5e-3]])
-    ens = AtomEnsemble(pos.copy(), vel.copy())
-    out = reflect_specular(ens, TRAP, margin=2e-6)
-    assert np.linalg.norm(out.velocities[0]) == pytest.approx(
-        np.linalg.norm(vel[0]), rel=1e-12)
-    assert out.velocities[0, 0] < 0.0         # radial component reversed
-    rho = np.hypot(out.positions[0, 0], out.positions[0, 1])
-    assert rho <= TRAP.radius * (1 + 1e-12)
+# velocity components up to ~5 thermal sigma at 15 uK
+_speed = st.floats(-0.2, 0.2)
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _atom(draw):
+    """One in-trap state: inside, on the wall moving in or out, or grazing
+    the lowest wall point nearly tangentially.
+
+    A path that touches the wall at a vanishing angle bounces without
+    bound (see test_unresolvable_flight_fails_loudly), so atoms inside keep
+    1e-4 R (10 nm) from the wall and atoms on it a normal speed of at least
+    1 mm/s; that allows up to a few hundred bounces in 2 ms.
+    """
+    kind = draw(st.sampled_from(["inside", "wall", "graze"]))
+    z = draw(st.floats(-0.5, 0.5)) * TRAP.length
+    vz = draw(_speed)
+    if kind == "inside":
+        r = draw(st.floats(0.0, 1.0 - 1e-4)) * TRAP.radius
+        phi = draw(_angle)
+        return ([r * math.cos(phi), r * math.sin(phi), z],
+                [draw(_speed), draw(_speed), vz])
+    if kind == "wall":
+        phi = draw(_angle)
+        nx, ny = math.cos(phi), math.sin(phi)
+        vn = draw(st.floats(1e-3, 0.2)) * draw(st.sampled_from([-1, 1]))
+        vt = draw(_speed)
+        return ([TRAP.radius * nx, TRAP.radius * ny, z],
+                [-vn * nx - vt * ny, -vn * ny + vt * nx, vz])
+    vy = draw(st.floats(1e-3, 1e-2))               # inward normal speed
+    return [0.0, -TRAP.radius, z], [draw(_speed), vy, vz]
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms=st.lists(_atom(), min_size=1, max_size=6),
+       g=st.sampled_from([0.0, 9.81]),
+       interval=st.floats(1e-6, 2e-3))
+def test_hard_wall_invariants(atoms, g, interval):
+    pos, vel = (np.array(c, dtype=float) for c in zip(*atoms))
+    ens = AtomEnsemble(pos, vel)
+    out = propagate(ens, 0.0, interval, trap=TRAP, gravity=g)
+    rho = np.hypot(out.positions[:, 0], out.positions[:, 1])
+    assert np.all(rho <= TRAP.radius * (1 + 1e-12))
+    assert np.all(np.abs(out.positions[:, 2]) <= TRAP.length / 2)
+    drift = np.abs(mechanical_energy(out, g) - mechanical_energy(ens, g))
+    assert np.all(drift <= 1e-12 * 1.5 * CONSTANTS.k_B * T15)
+    if g == 0.0:
+        speed = np.linalg.norm(out.velocities, axis=1)
+        assert speed == pytest.approx(np.linalg.norm(vel, axis=1), rel=1e-12)
+
+
+def test_chord_return_without_gravity():
+    # leaving the centre along x, the atom meets the wall head-on and is
+    # back at the centre after 2R/v with its velocity reversed
+    v = 0.05
+    ens = AtomEnsemble(np.zeros((1, 3)), np.array([[v, 0.0, 0.0]]))
+    out = propagate(ens, 0.0, 2.0 * TRAP.radius / v, trap=TRAP, gravity=0.0)
+    assert np.all(np.abs(out.positions[0]) <= 1e-12 * TRAP.radius)
+    assert out.velocities[0] == pytest.approx([-v, 0.0, 0.0], abs=1e-12 * v)
+
+
+@pytest.mark.parametrize("pos, vel", [
+    ([0.0, TRAP.radius], [0.01, 0.0]),
+    # tangential up to rounding, which leaves 2 (x vx + y vy) at +1.3e-23
+    ([-5.695114523689611e-05, 7.603661654890995e-05],
+     [-0.0005577096012043489, -0.00041772243347742196]),
+])
+def test_slow_atom_falls_off_the_ceiling(pos, vel):
+    # on the upper wall with no normal speed and v^2 < g y, gravity pulls
+    # the atom off the wall in free fall: the root at t = 0 is no hit
+    g, t = CONSTANTS.g_earth, 1e-3
+    ens = AtomEnsemble(np.array([pos + [0.0]]), np.array([vel + [0.0]]))
+    out = propagate(ens, 0.0, t, trap=TRAP, gravity=g)
+    fall = [pos[0] + vel[0] * t, pos[1] + vel[1] * t - 0.5 * g * t * t, 0.0]
+    assert out.positions[0] == pytest.approx(fall, rel=1e-12, abs=1e-18)
+
+
+@pytest.mark.parametrize("pos, vel, g", [
+    # zero normal speed at the lowest wall point, pressed outward by gravity
+    # and the wall's curvature: its motion is sliding along the wall, which
+    # no finite number of bounces reaches, so it is not projected back
+    ([0.0, -1.0, 0.0], [0.05, 0.0, 0.0], CONSTANTS.g_earth),
+    ([0.0, -1.0, 0.0], [0.05, 0.0, 0.0], 0.0),    # hits the bounce cap
+    # 1e-16 R inside, moving along the wall: whispering-gallery bounces at
+    # an angle of 1e-8 rad, 1e8 of them per ms
+    ([1.0 - 1e-16, 0.0, 0.0], [0.0, 0.125, 0.0], 0.0),
+    ([0.0, -1.0, 0.0], [0.05, 0.01, 0.0], math.nan),
+])
+def test_unresolvable_flight_fails_loudly(pos, vel, g):
+    ens = AtomEnsemble(np.array([pos]) * TRAP.radius, np.array([vel]))
+    with pytest.raises(NumericalError):
+        propagate(ens, 0.0, 1e-3, trap=TRAP, gravity=g)
 
 
 def test_hard_wall_energy_conserved():
@@ -104,7 +190,7 @@ def test_hard_wall_energy_conserved():
     e1 = mechanical_energy(out, CONSTANTS.g_earth)
     # bounded relative to the thermal energy scale
     scale = 1.5 * CONSTANTS.k_B * T15
-    assert np.max(np.abs(e1 - e0)) / scale < 1e-9
+    assert np.max(np.abs(e1 - e0)) / scale < 1e-12
 
 
 def test_hard_wall_containment():
