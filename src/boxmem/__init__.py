@@ -5,17 +5,17 @@ from .analysis import (ExtremaReport, FitResult, find_extrema,
                        fit_double_exponential, fit_exponential)
 from .constants import CONSTANTS, PhysicalConstants
 from .ensemble import (AtomEnsemble, mechanical_energy, propagate,
-                       propagate_record, sample_thermal_ensemble)
+                       sample_thermal_ensemble)
 from .geometry import RingPotential, TrapGeometry, potential_at
 from .lightshift import (CompensationSpec, ShiftField, calibrate_wall_width,
-                         differential_shift, ensemble_coherence,
-                         one_over_e_time, optimal_compensation_power,
-                         residual_lifetime, simulate_coherence, trap_detuning)
+                         differential_shift, one_over_e_time,
+                         optimal_compensation_power, residual_lifetime,
+                         simulate_coherence, trap_detuning)
 from .pipeline import (PRESETS, ScenarioConfig, ScenarioResult, preset,
                        read_curve_csv, run_scenario, write_curve_csv)
 from .spinwave import (DensityGrid, EfficiencyCurve, ModeSpec, SpinWaveRecord,
                        assign_excitation, atom_survival, collinear_delta_k,
-                       density_estimate, efficiency_total, evolve_phases,
-                       mode_overlap, phase_coherence, spinwave_wavevector)
+                       density_estimate, efficiency_total, mode_overlap,
+                       spinwave_wavevector)
 
 __version__ = "0.1.0"

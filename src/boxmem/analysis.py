@@ -32,7 +32,7 @@ def _levenberg_marquardt(residuals, jacobian, p0, max_iter=200, tol=1e-8):
     """Minimize sum(residuals(p)^2).  Returns (p, rss, converged, cov).
 
     Damped Gauss-Newton; the returned residual never exceeds the
-    initializer's.
+    initializer's.  A non-finite optimum is never reported as converged.
     """
     p = np.asarray(p0, dtype=float)
     r = residuals(p)
@@ -66,6 +66,8 @@ def _levenberg_marquardt(residuals, jacobian, p0, max_iter=200, tol=1e-8):
         if converged or not stepped:
             converged = converged or not stepped
             break
+    converged = (converged and bool(np.all(np.isfinite(p)))
+                 and math.isfinite(rss))
 
     J = jacobian(p)
     dof = max(len(r) - len(p), 1)
@@ -81,6 +83,8 @@ def _prepare(points_t, points_y, weights):
     y = np.asarray(points_y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and y must be equal-length 1-d arrays")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("t and y must be finite")
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)

@@ -9,7 +9,8 @@ how downstream consumers chunk the arrays.
 Hard walls are event-driven (Alder & Wainwright, J. Chem. Phys. 31, 459
 (1959); Lehtihet & Miller, Physica D 21, 93 (1986)): an atom flies its exact
 free-fall parabola to the next wall hit, the first root of a quartic in
-time.  Soft walls are integrated with velocity-Verlet sub-steps.
+time.  Soft walls and soft end caps are integrated with velocity-Verlet
+sub-steps, the transverse and the axial motion apart.
 
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
@@ -228,6 +229,22 @@ def _fly_hard(pos, vel, interval, radius, g):
                              "state or grazing contact)")
 
 
+def _verlet(pos, vel, accel, interval, dt):
+    """Velocity-Verlet under ``accel(pos)`` over ``interval`` in sub-steps
+    of at most ``dt``; returns the new (pos, vel).  Each step's end-of-step
+    acceleration is the next step's start, so it is evaluated once."""
+    acc = accel(pos)
+    remaining = interval
+    while remaining > 1e-18:
+        step = min(dt, remaining)
+        remaining -= step
+        half_vel = vel + 0.5 * step * acc
+        pos = pos + step * half_vel
+        acc = accel(pos)
+        vel = half_vel + 0.5 * step * acc
+    return pos, vel
+
+
 def _check_substep(ensemble, dt, trap):
     v = ensemble.velocities[ensemble.alive]
     if v.size == 0:
@@ -236,7 +253,8 @@ def _check_substep(ensemble, dt, trap):
              float(np.max(np.abs(v))))
     if v3 <= 0:
         return
-    scale = trap.ring.wall_width if trap.wall_model == "soft" else trap.radius
+    soft = "soft" in (trap.wall_model, trap.endcap_model)
+    scale = trap.ring.wall_width if soft else trap.radius
     t_cross = scale / v3
     if dt > 0.1 * t_cross:
         raise ConfigurationError(
@@ -255,12 +273,18 @@ def propagate(
 ) -> AtomEnsemble:
     """Advance alive atoms ballistically from t_start to t_end.
 
-    Constant gravity, no interatomic interactions.  Hard walls are exact
+    Constant gravity, no interatomic interactions.  The axial motion is
+    decoupled from the transverse motion under either wall model, so each
+    is advanced over the whole interval on its own.  Hard walls are exact
     and event-driven: each atom flies its free-fall parabola from one wall
-    hit to the next (the first root of the quartic rho(t)^2 = R^2), and the
-    end caps fold the axial motion analytically; ``dt`` then only enters
-    the step guard.  Soft walls integrate -grad U with velocity-Verlet in
-    sub-steps of ``dt``.  Dead atoms are returned unchanged.
+    hit to the next (the first root of the quartic rho(t)^2 = R^2), and hard
+    end caps fold the axial motion analytically.  Soft walls and soft end
+    caps integrate -grad U with velocity-Verlet in sub-steps of ``dt``
+    (transverse and axial separately); where both are hard, ``dt`` only
+    enters the step guard.  Returns a new ensemble and leaves the input
+    alone, so a consumer calls it once per sample interval and folds over
+    the states it returns; no trajectory is stored.  Dead atoms are
+    returned unchanged.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
@@ -275,71 +299,30 @@ def propagate(
     pos = out.positions[alive]
     vel = out.velocities[alive]
 
-    remaining = t_end - t_start
+    interval = t_end - t_start
     half = trap.length / 2.0
-    m = constants.m_atom
+    m, k_B = constants.m_atom, constants.k_B
     if trap.wall_model == "hard":
-        _fly_hard(pos, vel, remaining, trap.radius, gravity)
-        if trap.endcap_model == "hard":
-            pos[:, 2], vel[:, 2] = _fold_axial(
-                pos[:, 2] + vel[:, 2] * remaining, vel[:, 2], half)
+        _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
-        while remaining > 1e-18:
-            step = min(dt, remaining)
-            remaining -= step
-            acc = transverse_force(pos[:, :2], trap.ring, constants.k_B) / m
-            az = (axial_force(pos[:, 2], trap.ring, half, constants.k_B) / m
-                  if trap.endcap_model == "soft" else 0.0)
-            a0 = np.column_stack((acc[:, 0], acc[:, 1] - gravity,
-                                  np.broadcast_to(az, len(pos))))
-            vh = vel + 0.5 * step * a0
-            p1 = pos + step * vh
-            acc1 = transverse_force(p1[:, :2], trap.ring, constants.k_B) / m
-            az1 = (axial_force(p1[:, 2], trap.ring, half, constants.k_B) / m
-                   if trap.endcap_model == "soft" else 0.0)
-            a1 = np.column_stack((acc1[:, 0], acc1[:, 1] - gravity,
-                                  np.broadcast_to(az1, len(pos))))
-            v1 = vh + 0.5 * step * a1
-            if trap.endcap_model == "hard":
-                zf, vzf = _fold_axial(pos[:, 2] + vel[:, 2] * step,
-                                      v1[:, 2], half)
-                p1[:, 2] = zf
-                v1[:, 2] = vzf
-            pos, vel = p1, v1
+        def transverse(xy):
+            acc = transverse_force(xy, trap.ring, k_B) / m
+            acc[:, 1] -= gravity
+            return acc
+
+        pos[:, :2], vel[:, :2] = _verlet(pos[:, :2], vel[:, :2], transverse,
+                                         interval, dt)
+    if trap.endcap_model == "hard":
+        pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
+                                           vel[:, 2], half)
+    else:
+        pos[:, 2], vel[:, 2] = _verlet(
+            pos[:, 2], vel[:, 2],
+            lambda z: axial_force(z, trap.ring, half, k_B) / m, interval, dt)
 
     out.positions[alive] = pos
     out.velocities[alive] = vel
     return out
-
-
-def propagate_record(
-    ensemble: AtomEnsemble,
-    times: np.ndarray,
-    dt: float = DEFAULT_DT,
-    trap: TrapGeometry = TrapGeometry(),
-    gravity: float = CONSTANTS.g_earth,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
-    """Positions of all atoms at each requested time, shape (n_times, n, 3).
-
-    ``times`` must be non-decreasing and start at >= 0 (the ensemble's own
-    epoch).  Between sample times atoms move as in :func:`propagate`.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if np.any(np.diff(times) < 0) or times[0] < 0:
-        raise ValueError("times must be non-decreasing and non-negative")
-    rec = np.empty((len(times), len(ensemble), 3))
-    current = ensemble
-    t = 0.0
-    for i, ti in enumerate(times):
-        if ti > t:
-            current = propagate(current, t, ti, dt=dt, trap=trap,
-                                gravity=gravity, constants=constants)
-            t = ti
-        rec[i] = current.positions
-    return rec
 
 
 def mechanical_energy(ensemble: AtomEnsemble, gravity: float,

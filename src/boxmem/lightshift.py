@@ -116,27 +116,6 @@ class ShiftField:
         return replace(self, epsilon=epsilon)
 
 
-def ensemble_coherence(positions: np.ndarray, field: ShiftField,
-                       times: np.ndarray) -> np.ndarray:
-    """|<exp(i phi_1)>| over the ensemble for trajectories sampled at the
-    uniform grid ``times``; phases use the trapezoidal rule.  C(0) = 1.
-
-    ``positions`` has shape (n_times, n_atoms, >=2).
-    """
-    positions = np.asarray(positions, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if positions.ndim != 3 or positions.shape[1] == 0:
-        raise ValueError("positions must be (n_times, n_atoms, >=2) with atoms")
-    if positions.shape[0] != len(times):
-        raise ValueError("positions and times lengths differ")
-    rho = np.hypot(positions[..., 0], positions[..., 1])
-    omega = field.at_radius(rho)                      # (n_times, n_atoms)
-    dt = np.diff(times)[:, None]
-    phi = np.zeros_like(omega)
-    phi[1:] = np.cumsum(0.5 * (omega[1:] + omega[:-1]) * dt, axis=0)
-    return np.abs(np.exp(1j * phi).mean(axis=1))
-
-
 def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
     """First crossing of 1/e, linearly interpolated; inf if never crossed."""
     target = 1.0 / math.e
@@ -166,8 +145,9 @@ def simulate_coherence(
 ):
     """Monte-Carlo dephasing curve C(t) of a thermal ensemble in the trap.
 
-    Streams phase accumulation step by step (memory O(n_atoms)), so long
-    storage times are cheap.  Returns (times, C).
+    Accumulates the light-shift phase phi_1 with the trapezoidal rule one
+    sample interval at a time as the atoms are propagated (memory
+    O(n_atoms)), so long storage times are cheap.  Returns (times, C).
     """
     if ensemble is None:
         ensemble = sample_thermal_ensemble(

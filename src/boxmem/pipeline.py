@@ -1,19 +1,21 @@
 """Scenario configuration, presets, and the end-to-end efficiency pipeline.
 
 A scenario samples a thermal ensemble, tags the spin wave with the signal
-mode, propagates the atoms to each storage time, estimates the transverse
-mode on a grid, and composes the overlap with dephasing and atom-loss
-factors into a normalized efficiency curve (CSV rows).
+mode, propagates the atoms from one storage time to the next, estimates the
+transverse mode on a grid at each, and composes the overlap with dephasing
+and atom-loss factors into a normalized efficiency curve (CSV rows).
 
 Strict determinism: a (config, seed) pair fixes every output byte.  Random
 streams are counter-based (Philox) and keyed by the master seed; parallel
-evaluation is over storage times with results stored by time index, so the
-worker count never changes the output.
+evaluation (``workers`` > 1) is over the density grids of one storage time
+(the base weights and each bootstrap replica) with results kept in replica
+order, so the worker count never changes the output.
 """
 
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,9 +25,10 @@ from .errors import ConfigurationError
 from .geometry import RingPotential, TrapGeometry
 from .spinwave import (EfficiencyCurve, ModeSpec, assign_excitation,
                        collinear_delta_k, density_estimate, efficiency_total,
-                       mode_overlap, phase_coherence)
+                       mode_overlap)
 
 CSV_HEADER = "t_ms,R_overlap,dephasing_factor,loss_factor,R_total"
+MAX_WORKERS = 64  # KDE threads; a larger count is taken for a typo
 
 
 @dataclass
@@ -57,22 +60,24 @@ class ScenarioConfig:
     workers: int = 1
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name}: must be finite")
         checks = [
             ("atoms", self.atoms >= 1, "must be >= 1"),
-            ("temperature", np.isfinite(self.temperature) and self.temperature >= 0,
-             "must be finite and non-negative"),
+            ("temperature", self.temperature >= 0, "must be non-negative"),
             ("trap_radius", self.trap_radius > 0, "must be positive"),
             ("trap_length", self.trap_length > 0, "must be positive"),
             ("wall_model", self.wall_model in ("hard", "soft"),
              "must be 'hard' or 'soft'"),
             ("wall_width", self.wall_width > 0, "must be positive"),
             ("trap_depth", self.trap_depth >= 0, "must be non-negative"),
-            ("gravity", np.isfinite(self.gravity), "must be finite"),
             ("mode_waist", self.mode_waist > 0, "must be positive"),
             ("spatial", self.spatial in ("thermal", "uniform"),
              "must be 'thermal' or 'uniform'"),
-            ("times", len(self.times) >= 1 and np.all(np.diff(self.times) > 0)
-             and self.times[0] >= 0, "must be increasing and non-negative"),
+            ("times", len(self.times) >= 1 and np.all(np.isfinite(self.times))
+             and np.all(np.diff(self.times) > 0) and self.times[0] >= 0,
+             "must be finite, increasing and non-negative"),
             ("tau_dephase", self.tau_dephase > 0, "must be positive"),
             ("loss_fast_fraction", 0.0 <= self.loss_fast_fraction <= 1.0,
              "must lie in [0, 1]"),
@@ -84,7 +89,8 @@ class ScenarioConfig:
             ("dt", self.dt > 0, "must be positive"),
             ("seed", 0 <= self.seed <= 2**64 - 1,
              "must lie in [0, 2**64 - 1]"),
-            ("workers", self.workers >= 1, "must be >= 1"),
+            ("workers", 1 <= self.workers <= MAX_WORKERS,
+             f"must lie in [1, {MAX_WORKERS}]"),
         ]
         for name, ok, msg in checks:
             if not ok:
@@ -143,29 +149,18 @@ class ScenarioResult:
     bootstrap_se: np.ndarray | None = None
 
 
-def _overlap_series(positions_xy_per_time, weights, cfg) -> np.ndarray:
-    grids = [None] * len(positions_xy_per_time)
-
-    def build(i):
-        grids[i] = density_estimate(
-            weights, positions_xy_per_time[i], extent=cfg.grid_extent,
-            resolution=cfg.grid_resolution, bandwidth=cfg.kde_bandwidth)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(build, range(len(grids))))
-    else:
-        for i in range(len(grids)):
-            build(i)
-    u0 = grids[0]
-    return np.array([mode_overlap(u0, g) for g in grids])
-
-
 def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult:
     """Execute the full pipeline for one scenario.
 
+    The trajectory is consumed one sample time at a time, as ``propagate``
+    returns it: each sample is reduced to the overlap of its density grid
+    with the first sample's grid and to the phi_2 coherence
+    |sum w^2 exp(i delta_k . (r(t) - r(t0)))|, so memory is O(n_atoms).
+
     ``n_bootstrap`` > 0 additionally estimates the per-time Monte-Carlo
-    standard error of the overlap by resampling atoms with replacement.
+    standard error of the overlap by resampling atoms with replacement;
+    every replica is folded over the same pass.  With ``config.workers``
+    > 1 that many threads build the density grids of one sample time.
     """
     config.validate()
     trap = config.trap()
@@ -177,38 +172,49 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     record = assign_excitation(ens.positions, config.signal_mode(),
                                delta_k=collinear_delta_k())
 
-    times = np.asarray(config.times, dtype=float)
-    positions = np.empty((len(times), config.atoms, 3))
-    current = ens
-    t = 0.0
-    for i, ti in enumerate(times):
-        if ti > t:
-            current = propagate(current, t, ti, dt=config.dt, trap=trap,
-                                gravity=gravity)
-            t = ti
-        positions[i] = current.positions
+    rng = np.random.Generator(np.random.Philox(
+        key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))
+    picks = [slice(None)] + [rng.integers(0, config.atoms, size=config.atoms)
+                             for _ in range(n_bootstrap)]
+    weights = [record.weights[idx] for idx in picks]
+    w2 = record.weights**2
 
-    overlap = _overlap_series(positions[..., :2], record.weights, config)
+    def grid(xy, w):
+        return density_estimate(w, xy, extent=config.grid_extent,
+                                resolution=config.grid_resolution,
+                                bandwidth=config.kde_bandwidth)
+
+    times = np.asarray(config.times, dtype=float)
+    overlap = np.empty((len(picks), len(times)))
+    phi2_coh = np.empty(len(times))
+    current, t = ens, 0.0
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        # one worker runs in the calling thread: handing each grid to a
+        # pool thread only adds thread wake-ups and a second malloc arena
+        mapper = pool.map if config.workers > 1 else map
+        for i, ti in enumerate(times):
+            if ti > t:
+                current = propagate(current, t, ti, dt=config.dt, trap=trap,
+                                    gravity=gravity)
+                t = ti
+            positions = current.positions
+            grids = list(mapper(
+                grid, [positions[idx, :2] for idx in picks], weights))
+            if i == 0:
+                first, origin = grids, positions
+            overlap[:, i] = [mode_overlap(u0, g)
+                             for u0, g in zip(first, grids)]
+            phi2 = (positions - origin) @ record.delta_k
+            phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
+
     curve = efficiency_total(
-        times, overlap, tau_dephase=config.tau_dephase,
+        times, overlap[0], tau_dephase=config.tau_dephase,
         fast_fraction=config.loss_fast_fraction,
         tau_fast=config.loss_tau_fast, tau_slow=config.loss_tau_slow)
 
-    disp = positions - positions[0]
-    phi2 = disp @ record.delta_k
-    w2 = record.weights**2
-    phi2_coh = np.abs(np.exp(1j * phi2) @ w2)
-
     boot_se = None
     if n_bootstrap > 0:
-        rng = np.random.Generator(np.random.Philox(
-            key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))
-        reps = np.empty((n_bootstrap, len(times)))
-        for b in range(n_bootstrap):
-            idx = rng.integers(0, config.atoms, size=config.atoms)
-            reps[b] = _overlap_series(
-                positions[:, idx, :2], record.weights[idx], config)
-            reps[b] /= reps[b, 0]
+        reps = overlap[1:] / overlap[1:, :1]
         boot_se = reps.std(axis=0, ddof=1)
 
     return ScenarioResult(config, curve, phi2_coh, boot_se)

@@ -1,7 +1,10 @@
-"""The singly-excited spin wave: per-atom weights and phases, transverse
-mode estimation, and retrieval-efficiency composition.
+"""The singly-excited spin wave: per-atom weights, transverse mode
+estimation, and retrieval-efficiency composition.
 
-The stored excitation carries one weight and one phase per atom.  The
+The stored excitation carries one weight per atom and the spin-wave wave
+vector; the phases it picks up in storage are folded over the trajectory by
+their consumers (the phi_2 coherence of ``pipeline.run_scenario`` and the
+light-shift phase of ``lightshift.simulate_coherence``).  The
 transverse mode U(x, y, t) is the weight-squared distribution estimated on
 a grid with a Gaussian kernel; retrieval is scored by the Bhattacharyya
 overlap squared,
@@ -13,7 +16,7 @@ double-exponential atom survival.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -32,26 +35,20 @@ class ModeSpec:
     wavelength: float = CONSTANTS.lambda_D2   # m
 
     def __post_init__(self):
-        if self.waist_w0 <= 0:
+        if not self.waist_w0 > 0:
             raise ValueError("waist_w0 must be positive")
 
 
 @dataclass
 class SpinWaveRecord:
-    """Weights (sum w^2 = 1), accumulated phases (rad), and the spin-wave
-    wave vector delta_k (rad/m)."""
+    """Weights (sum w^2 = 1) and the spin-wave wave vector delta_k (rad/m)."""
 
     weights: np.ndarray
-    phases: np.ndarray
     delta_k: np.ndarray
-    creation_time: float = 0.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        self.phases = np.asarray(self.phases, dtype=float)
         self.delta_k = np.asarray(self.delta_k, dtype=float)
-        if self.weights.shape != self.phases.shape:
-            raise ValueError("weights and phases must have equal shapes")
 
     @property
     def n_atoms(self) -> int:
@@ -84,10 +81,9 @@ def collinear_delta_k(constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
 
 def assign_excitation(positions: np.ndarray, signal: ModeSpec,
                       write: ModeSpec | None = None,
-                      delta_k: np.ndarray | None = None,
-                      creation_time: float = 0.0) -> SpinWaveRecord:
+                      delta_k: np.ndarray | None = None) -> SpinWaveRecord:
     """Create the spin wave: raw weight exp(-|r_perp - center|^2 / w0^2)
-    from the signal mode, then normalized; all phases zero.
+    from the signal mode, then normalized.
 
     The much larger write mode (default 275 um waist) varies by < 6% over
     the signal waist and is treated as uniform.
@@ -103,34 +99,7 @@ def assign_excitation(positions: np.ndarray, signal: ModeSpec,
     weights = raw / np.sqrt(np.sum(raw**2))
     if delta_k is None:
         delta_k = collinear_delta_k()
-    return SpinWaveRecord(weights, np.zeros_like(weights), delta_k,
-                          creation_time)
-
-
-def evolve_phases(record: SpinWaveRecord, positions: np.ndarray,
-                  field, dt: float) -> SpinWaveRecord:
-    """Advance phases along trajectories sampled at uniform dt.
-
-    phi_1 is incremented by the trapezoidal integral of delta_omega(r_j)
-    and phi_2 by delta_k . (r_j(end) - r_j(start)).  Weights are unchanged.
-    ``positions`` has shape (n_times, n_atoms, 3); ``field`` may be None
-    for a dark (compensated-to-zero) trap.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 3 or positions.shape[1] != record.n_atoms:
-        raise ValueError("trajectory atom count does not match the record")
-    phases = record.phases.copy()
-    if field is not None and positions.shape[0] > 1:
-        rho = np.hypot(positions[..., 0], positions[..., 1])
-        omega = field.at_radius(rho)
-        phases += np.sum(0.5 * (omega[1:] + omega[:-1]), axis=0) * dt
-    phases += (positions[-1] - positions[0]) @ record.delta_k
-    return replace(record, phases=phases)
-
-
-def phase_coherence(record: SpinWaveRecord) -> float:
-    """Weighted coherence |sum w^2 exp(i phi)| of the stored excitation."""
-    return float(np.abs(np.sum(record.weights**2 * np.exp(1j * record.phases))))
+    return SpinWaveRecord(weights, delta_k)
 
 
 @dataclass

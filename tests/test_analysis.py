@@ -44,6 +44,22 @@ def test_exponential_input_validation():
         fit_exponential([0.0, 1.0, 2.0], [1.0, -0.5, 0.2])
     with pytest.raises(ValueError):
         fit_exponential([-1.0, 1.0, 2.0], [1.0, 0.5, 0.2])
+    for t, y in (([0.0, 1.0, 2.0], [1.0, math.nan, 0.2]),
+                 ([0.0, 1.0, math.inf], [1.0, 0.5, 0.2])):
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponential(t, y)
+        with pytest.raises(ValueError, match="finite"):
+            fit_double_exponential(t, y)
+
+
+def test_fit_never_converged_with_nonfinite_result():
+    # negative weights make every residual NaN, so no step is ever taken
+    t = np.linspace(0.0, 1.0, 10)
+    with np.errstate(invalid="ignore"):
+        res = fit_exponential(t, np.exp(-t), weights=-np.ones_like(t))
+        assert not res.converged and math.isnan(res.rss)
+        res = fit_double_exponential(t, np.exp(-t), weights=-np.ones_like(t))
+        assert not res.converged and math.isnan(res.rss)
 
 
 def test_double_exponential_recovery():

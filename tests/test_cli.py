@@ -54,6 +54,24 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "mode_offset_y_um = nan", "mode_offset_x_um = inf",
+    "trap_radius_um = inf", "temperature_uK = nan", "mode_waist_um = nan",
+    "kde_bandwidth_um = inf", "tau_dephase_ms = nan", "dt_us = inf",
+    "loss_fast_fraction = nan", "workers = 0", "workers = 100000",
+    "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5",
+    "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan",
+])
+def test_simulate_bad_config_key_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[scenario]\natoms = 200\n{line}\n")
+    out = tmp_path / "c.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_simulate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     assert main(["simulate", "--preset", "centered", "--seed", str(seed),
@@ -99,6 +117,19 @@ def test_fit_too_few_rows_exits_2(tmp_path, capsys):
     path.write_text("t_ms,R_overlap,dephasing_factor,loss_factor,R_total\n"
                     "0,1,1,1,1\n")
     assert main(["fit", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("model", ["exp", "dexp"])
+def test_fit_nonfinite_csv_exits_2(tmp_path, capsys, model):
+    path = tmp_path / "c.csv"
+    make_curve_csv(path)
+    lines = path.read_text().splitlines()
+    lines[5] = "0.01,nan,1,1,nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--input", str(path), "--model", model]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert "converged" not in captured.out
 
 
 def test_fit_missing_file_exits_2(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import (AtomEnsemble, mechanical_energy, propagate,
-                             propagate_record, sample_thermal_ensemble)
+                             sample_thermal_ensemble)
 from boxmem.errors import ConfigurationError, NumericalError
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 
@@ -232,12 +232,19 @@ def test_substep_guard():
         propagate(ens, 0.0, 1e-3, dt=1e-3, trap=TRAP)
 
 
-def test_propagate_record_shape():
-    ens = sample_thermal_ensemble(50, TRAP, T15, seed=10)
-    times = np.array([0.0, 1e-3, 2e-3])
-    rec = propagate_record(ens, times, trap=TRAP)
-    assert rec.shape == (3, 50, 3)
-    assert np.array_equal(rec[0], ens.positions)
+@pytest.mark.parametrize("wall_model", ["hard", "soft"])
+def test_soft_end_cap_turns_the_atom_back(wall_model):
+    # axial motion is advanced apart from the transverse motion, under
+    # either wall model; 0.05 m/s is 13 uK of axial energy, below the cap
+    trap = TrapGeometry(wall_model=wall_model, endcap_model="soft")
+    ens = AtomEnsemble([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.05]])
+    out = propagate(ens, 0.0, 1e-3, trap=trap, gravity=0.0)
+    assert out.positions[0, 2] == pytest.approx(5e-5, rel=1e-9)
+    # out to the cap at z = 1.5 mm after about 30 ms, then back
+    out = propagate(ens, 0.0, 40e-3, trap=trap, gravity=0.0)
+    assert out.velocities[0, 2] == pytest.approx(-0.05, rel=1e-6)
+    assert 0.0 < out.positions[0, 2] < trap.length / 2 - 1e-4
+    assert np.array_equal(out.positions[0, :2], [0.0, 0.0])
 
 
 def test_soft_wall_energy_drift_100ms():

@@ -8,7 +8,7 @@ from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.errors import CalibrationError, NearResonanceError
 from boxmem.lightshift import (CompensationSpec, ShiftField,
                                calibrate_wall_width, differential_shift,
-                               ensemble_coherence, one_over_e_time,
+                               one_over_e_time,
                                optimal_compensation_power, residual_lifetime,
                                simulate_coherence, trap_detuning)
 from boxmem.geometry import RingPotential, TrapGeometry
@@ -98,18 +98,23 @@ def test_coherence_starts_at_one_and_bounded():
 
 
 def test_frozen_ensemble_lifetime_scales_inversely_with_epsilon():
-    # atoms pinned in place: phases are exactly epsilon * omega(r) * t, so
-    # the 1/e time must scale as 1/epsilon
+    # atoms at rest in a hard-walled trap without gravity stay put: phases
+    # are exactly epsilon * omega(r) * t, so the 1/e time must scale as
+    # 1/epsilon
     ring = RingPotential()
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
-    ens = sample_thermal_ensemble(20_000, trap, 0.0, seed=2)
+    trap = TrapGeometry(radius=ring.ring_radius)
     field = ShiftField(ring)
+    ens = sample_thermal_ensemble(4000, trap, 0.0, gravity=0.0, seed=2)
+    omega = field.at(ens.positions[:, :2])
     taus = {}
     for eps in (1.0, 0.1, 0.01):
         t_max = 3e-3 / eps
-        times = np.linspace(0.0, t_max, 400)
-        traj = np.broadcast_to(ens.positions, (len(times),) + ens.positions.shape)
-        c = ensemble_coherence(traj, field.with_epsilon(eps), times)
+        times, c = simulate_coherence(
+            field.with_epsilon(eps), trap, t_max=t_max, sample_dt=t_max / 399,
+            gravity=0.0, ensemble=ens)
+        for i in (1, 150, 399):
+            expected = np.abs(np.exp(1j * eps * omega * times[i]).mean())
+            assert c[i] == pytest.approx(expected, abs=1e-9)
         taus[eps] = one_over_e_time(times, c)
     assert taus[0.1] == pytest.approx(10.0 * taus[1.0], rel=0.10)
     assert taus[0.01] == pytest.approx(100.0 * taus[1.0], rel=0.10)
@@ -122,14 +127,6 @@ def test_one_over_e_time_linear_interpolation():
     # crossing of 1/e = 0.3679 between t=1 (0.5) and t=2 (0.2)
     assert t == pytest.approx(1.0 + (0.5 - 1 / math.e) / 0.3, rel=1e-9)
     assert one_over_e_time(times, np.array([1.0, 0.9, 0.8])) == math.inf
-
-
-def test_ensemble_coherence_validation():
-    field = ShiftField(RingPotential())
-    with pytest.raises(ValueError):
-        ensemble_coherence(np.zeros((3, 0, 3)), field, np.zeros(3))
-    with pytest.raises(ValueError):
-        ensemble_coherence(np.zeros((3, 5, 3)), field, np.zeros(4))
 
 
 def test_calibration_rejects_bad_target():

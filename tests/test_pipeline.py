@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boxmem.errors import ConfigurationError
 from boxmem.config import parse_scenario_file
-from boxmem.pipeline import (CSV_HEADER, PRESETS, ScenarioConfig,
+from boxmem.ensemble import propagate, sample_thermal_ensemble
+from boxmem.pipeline import (CSV_HEADER, MAX_WORKERS, PRESETS, ScenarioConfig,
                              curve_to_csv, preset, read_curve_csv,
                              run_scenario, write_curve_csv)
+from boxmem.spinwave import assign_excitation
 
 SMALL = dict(atoms=2000, times=np.arange(0.0, 4.0001e-3, 1e-3))
 
@@ -26,8 +31,12 @@ def test_presets_exist_and_validate():
 def test_config_validation_messages():
     bad = [small_config(atoms=0), small_config(wall_model="mushy"),
            small_config(spatial="gauss"), small_config(workers=0),
+           small_config(workers=MAX_WORKERS + 1),
            small_config(times=np.array([2e-3, 1e-3])),
-           small_config(grid_resolution=4), small_config(tau_dephase=0.0)]
+           small_config(times=np.array([0.0, math.inf])),
+           small_config(grid_resolution=4), small_config(tau_dephase=0.0),
+           small_config(trap_radius=math.inf),
+           small_config(mode_offset_y=math.nan)]
     for cfg in bad:
         with pytest.raises(ConfigurationError):
             cfg.validate()
@@ -49,6 +58,42 @@ def test_phi2_coherence_stays_high():
     res = run_scenario(small_config())
     assert res.phi2_coherence[0] == pytest.approx(1.0)
     assert np.all(res.phi2_coherence > 0.999)
+
+
+def test_phi2_coherence_matches_propagated_positions():
+    cfg = small_config()
+    res = run_scenario(cfg)
+    trap = cfg.trap()
+    g = cfg.effective_gravity()
+    ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, gravity=g,
+                                  seed=cfg.seed, spatial=cfg.spatial)
+    rec = assign_excitation(ens.positions, cfg.signal_mode())
+    expected, current, t = [], ens, 0.0
+    for ti in cfg.times:
+        if ti > t:
+            current = propagate(current, t, ti, dt=cfg.dt, trap=trap,
+                                gravity=g)
+            t = ti
+        phase = (current.positions - ens.positions) @ rec.delta_k
+        expected.append(abs(np.sum(rec.weights**2 * np.exp(1j * phase))))
+    assert res.phi2_coherence == pytest.approx(expected, rel=0, abs=1e-12)
+    assert np.all(1.0 - res.phi2_coherence[1:] > 1e-9)    # it does dephase
+
+
+def test_peak_memory_independent_of_sample_count():
+    # the trajectory is folded per sample time, never stored: 41 sample
+    # times need no more memory than 11 (a stored (n_times, n_atoms, 3)
+    # trajectory would add 2 x 30 x 20000 x 3 x 8 B = 29 MB)
+    peaks = []
+    for n_times in (11, 41):
+        cfg = small_config(atoms=20_000, times=np.arange(n_times) * 1e-4)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1e6
 
 
 def test_byte_identical_reruns():

@@ -5,12 +5,10 @@ import pytest
 
 from boxmem.constants import CONSTANTS
 from boxmem.errors import EmptyModeError, GridCoverageError
-from boxmem.lightshift import ShiftField
-from boxmem.geometry import RingPotential
 from boxmem.spinwave import (ModeSpec, assign_excitation, atom_survival,
                              collinear_delta_k, density_estimate,
-                             efficiency_total, evolve_phases, mode_overlap,
-                             phase_coherence, spinwave_wavevector)
+                             efficiency_total, mode_overlap,
+                             spinwave_wavevector)
 
 
 def test_spinwave_wavelength_collinear():
@@ -34,7 +32,6 @@ def test_excitation_weights_normalized():
     pos = rng.normal(scale=50e-6, size=(5000, 3))
     rec = assign_excitation(pos, ModeSpec())
     assert np.sum(rec.weights**2) == pytest.approx(1.0, rel=1e-12)
-    assert np.all(rec.phases == 0.0)
     assert rec.effective_atom_number() > 1.0
 
 
@@ -53,36 +50,10 @@ def test_empty_mode_rejected():
         assign_excitation(pos, ModeSpec())
 
 
-def test_phase_evolution_from_displacement():
-    dk = collinear_delta_k()
-    pos0 = np.zeros((1, 3))
-    dz = 1e-2                              # quarter-ish of the spin wavelength
-    traj = np.stack([pos0, pos0 + np.array([0.0, 0.0, dz])])
-    rec = assign_excitation(pos0, ModeSpec(), delta_k=dk)
-    out = evolve_phases(rec, traj, None, dt=1e-3)
-    assert out.phases[0] == pytest.approx(dk[2] * dz, rel=1e-12)
-    assert np.array_equal(out.weights, rec.weights)
-
-
-def test_phase_evolution_from_light_shift():
-    ring = RingPotential()
-    field = ShiftField(ring)
-    pos = np.array([[ring.ring_radius, 0.0, 0.0]])   # parked at the peak
-    traj = np.stack([pos, pos, pos])                 # not moving
-    rec = assign_excitation(
-        np.zeros((1, 3)), ModeSpec(), delta_k=np.zeros(3))
-    rec.phases = np.zeros(1)
-    out = evolve_phases(rec, traj, field, dt=1e-4)
-    expected = field.at_radius(ring.ring_radius) * 2e-4
-    assert out.phases[0] == pytest.approx(expected, rel=1e-9)
-
-
-def test_phase_coherence_limits():
-    rec = assign_excitation(np.zeros((4, 3)), ModeSpec(),
-                            delta_k=np.zeros(3))
-    assert phase_coherence(rec) == pytest.approx(1.0)
-    rec.phases = np.array([0.0, math.pi, 0.0, math.pi])
-    assert phase_coherence(rec) == pytest.approx(0.0, abs=1e-12)
+@pytest.mark.parametrize("waist", [0.0, -65e-6, math.nan])
+def test_mode_spec_rejects_bad_waist(waist):
+    with pytest.raises(ValueError):
+        ModeSpec(waist_w0=waist)
 
 
 def test_density_unit_integral():
