@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from boxmem.constants import CONSTANTS
+from boxmem.ensemble import AtomEnsemble
 from boxmem.errors import EmptyModeError, GridCoverageError
+from boxmem.geometry import RingPotential, TrapGeometry
+from boxmem.lightshift import ShiftField, simulate_coherence
 from boxmem.spinwave import (ModeSpec, assign_excitation, atom_survival,
                              collinear_delta_k, density_estimate,
                              efficiency_total, mode_overlap,
@@ -155,3 +158,20 @@ def test_grid_resolution_convergence():
         b = density_estimate(w, moved, resolution=res)
         vals.append(mode_overlap(a, b))
     assert vals[0] == pytest.approx(vals[1], rel=0.01)
+
+
+def test_phase_evolution_from_light_shift():
+    # two atoms at rest without gravity: one parked at the ring peak, one on
+    # the axis.  Each accumulates omega(r) t, so the coherence of the pair is
+    # |cos((omega_peak - omega_axis) t / 2)|
+    ring = RingPotential()
+    field = ShiftField(ring)
+    trap = TrapGeometry(radius=2.0 * ring.ring_radius)
+    pos = np.array([[ring.ring_radius, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    ens = AtomEnsemble(pos, np.zeros_like(pos))
+    times, c = simulate_coherence(field, trap, t_max=2e-4, sample_dt=1e-5,
+                                  gravity=0.0, ensemble=ens)
+    d_omega = field.at_radius(ring.ring_radius) - field.at_radius(0.0)
+    expected = np.abs(np.cos(0.5 * d_omega * times))
+    np.testing.assert_allclose(c, expected, rtol=0.0, atol=1e-9)
+    assert c[-1] < 0.1   # the peak atom really dephases from the axis atom
