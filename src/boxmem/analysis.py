@@ -201,6 +201,8 @@ def find_extrema(times, values, window: int = 5,
     y = np.asarray(values, dtype=float)
     if len(t) < 5:
         raise ValueError("at least 5 points are required")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("times and values must be finite")
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and positive")
     if np.ptp(y) == 0:

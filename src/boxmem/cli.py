@@ -8,17 +8,15 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .analysis import find_extrema, fit_double_exponential, fit_exponential
 from .config import parse_scenario_file
 from .constants import CONSTANTS
-from .errors import (CalibrationError, ConfigurationError, EmptyModeError,
-                     GridCoverageError, NearResonanceError, NumericalError)
+from .errors import CalibrationError, NumericalError
 from .lightshift import (CompensationSpec, optimal_compensation_power,
                          residual_lifetime)
 from .pipeline import PRESETS, preset, read_curve_csv, run_scenario, write_curve_csv
 from .render import write_svg
+from .spinwave import CURVE_COLUMNS, TOTAL_COLUMN, curve_column
 
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -42,9 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a decay model to a curve CSV")
     fit.add_argument("--input", required=True)
     fit.add_argument("--model", choices=["exp", "dexp"], default="exp")
-    fit.add_argument("--column", default="R_total",
-                     choices=["R_total", "R_overlap", "dephasing_factor",
-                              "loss_factor"])
+    fit.add_argument("--column", default=TOTAL_COLUMN, choices=CURVE_COLUMNS)
     fit.add_argument("--offset", action="store_true",
                      help="add a constant background term (exp model only)")
 
@@ -52,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ext.add_argument("--input", required=True)
     ext.add_argument("--window", type=int, default=5)
     ext.add_argument("--noise-floor", type=float, default=0.0)
-    ext.add_argument("--column", default="R_total",
-                     choices=["R_total", "R_overlap", "dephasing_factor",
-                              "loss_factor"])
+    ext.add_argument("--column", default=TOTAL_COLUMN, choices=CURVE_COLUMNS)
 
     comp = sub.add_parser("compensation",
                           help="compensation-beam power and lifetime budget")
@@ -68,16 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--input", required=True)
     ren.add_argument("--out", required=True)
     ren.add_argument("--log-y", action="store_true")
-    ren.add_argument("--columns", nargs="+", default=["R_total"],
-                     choices=["R_total", "R_overlap", "dephasing_factor",
-                              "loss_factor"])
+    ren.add_argument("--columns", nargs="+", default=[TOTAL_COLUMN],
+                     choices=CURVE_COLUMNS)
     return p
-
-
-def _column(curve, name):
-    return {"R_total": curve.total, "R_overlap": curve.overlap,
-            "dephasing_factor": curve.dephasing,
-            "loss_factor": curve.loss}[name]
 
 
 def _cmd_simulate(args) -> int:
@@ -85,16 +72,9 @@ def _cmd_simulate(args) -> int:
         cfg = preset(args.preset)
     else:
         cfg = parse_scenario_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.atoms is not None:
-        overrides["atoms"] = args.atoms
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
+    overrides = {k: getattr(args, k) for k in ("seed", "atoms", "workers")
+                 if getattr(args, k) is not None}
+    cfg = replace(cfg, **overrides)
     result = run_scenario(cfg)
     write_curve_csv(result.curve, args.out)
     print(f"wrote {args.out} ({len(result.curve.times)} rows)")
@@ -103,26 +83,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     curve = read_curve_csv(args.input)
-    t, y = curve.times, _column(curve, args.column)
+    t, y = curve.times, curve_column(curve, args.column)
     if args.model == "exp":
         res = fit_exponential(t, y, offset=args.offset)
-        print(f"model=exp column={args.column}")
-        print(f"amplitude={res.params['amplitude']:.6g} "
-              f"amplitude_err={res.errors['amplitude']:.3g}")
-        print(f"tau_ms={res.params['tau'] * 1e3:.6g} "
-              f"tau_ms_err={res.errors['tau'] * 1e3:.3g}")
-        if args.offset:
-            print(f"offset={res.params['offset']:.6g} "
-                  f"offset_err={res.errors['offset']:.3g}")
     else:
         res = fit_double_exponential(t, y)
-        print(f"model=dexp column={args.column}")
-        print(f"fast_fraction={res.params['fast_fraction']:.6g} "
-              f"fast_fraction_err={res.errors['fast_fraction']:.3g}")
-        print(f"tau1_ms={res.params['tau1'] * 1e3:.6g} "
-              f"tau1_ms_err={res.errors['tau1'] * 1e3:.3g}")
-        print(f"tau2_ms={res.params['tau2'] * 1e3:.6g} "
-              f"tau2_ms_err={res.errors['tau2'] * 1e3:.3g}")
+    print(f"model={res.model} column={args.column}")
+    for name, value in res.params.items():
+        err = res.errors[name]
+        if name.startswith("tau"):
+            name, value, err = f"{name}_ms", value * 1e3, err * 1e3
+        print(f"{name}={value:.6g} {name}_err={err:.3g}")
+    if args.model == "dexp":
         print(f"degenerate={'true' if res.degenerate else 'false'}")
     print(f"rss={res.rss:.6g}")
     print(f"converged={'true' if res.converged else 'false'}")
@@ -131,7 +103,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_extrema(args) -> int:
     curve = read_curve_csv(args.input)
-    report = find_extrema(curve.times, _column(curve, args.column),
+    report = find_extrema(curve.times, curve_column(curve, args.column),
                           window=args.window, noise_floor=args.noise_floor)
     if not report.extrema:
         print("no extrema above the noise floor")
@@ -171,11 +143,12 @@ def main(argv=None) -> int:
                 "render": _cmd_render}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, NearResonanceError, GridCoverageError,
-            EmptyModeError, ValueError, OSError) as exc:
+    # ConfigurationError, NearResonanceError, GridCoverageError,
+    # EmptyModeError and np.linalg.LinAlgError are all ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, CalibrationError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, CalibrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,41 +1,35 @@
 """Flat key=value scenario files.
 
 Format: a single ``[scenario]`` section, ``#`` comments, one key per line.
-Keys carry their unit in the name (``_um``, ``_ms``, ...) so files diff
-cleanly.  An optional ``preset`` key selects the base scenario; remaining
-keys override it.
+Each key is a ``ScenarioConfig`` field name with the field's file unit
+appended (``trap_radius_um``, ``tau_dephase_ms``; unitless fields take the
+bare name), so files diff cleanly.  An optional ``preset`` key selects the
+base scenario; remaining keys override it.
 """
 
 import configparser
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .pipeline import PRESETS, ScenarioConfig
 
-_SCALED = {
-    "atoms": ("atoms", int, 1),
-    "temperature_uK": ("temperature", float, 1e-6),
-    "trap_radius_um": ("trap_radius", float, 1e-6),
-    "trap_length_mm": ("trap_length", float, 1e-3),
-    "wall_width_um": ("wall_width", float, 1e-6),
-    "trap_depth_uK": ("trap_depth", float, 1e-6),
-    "gravity_m_s2": ("gravity", float, 1),
-    "mode_offset_x_um": ("mode_offset_x", float, 1e-6),
-    "mode_offset_y_um": ("mode_offset_y", float, 1e-6),
-    "mode_waist_um": ("mode_waist", float, 1e-6),
-    "tau_dephase_ms": ("tau_dephase", float, 1e-3),
-    "loss_fast_fraction": ("loss_fast_fraction", float, 1),
-    "loss_tau_fast_ms": ("loss_tau_fast", float, 1e-3),
-    "loss_tau_slow_ms": ("loss_tau_slow", float, 1e-3),
-    "grid_extent_um": ("grid_extent", float, 1e-6),
-    "grid_resolution": ("grid_resolution", int, 1),
-    "kde_bandwidth_um": ("kde_bandwidth", float, 1e-6),
-    "dt_us": ("dt", float, 1e-6),
-    "seed": ("seed", int, 1),
-    "workers": ("workers", int, 1),
-}
+# file unit suffix -> SI factor
+_UNITS = {"uK": 1e-6, "um": 1e-6, "mm": 1e-3, "ms": 1e-3, "us": 1e-6,
+          "m_s2": 1.0}
+MAX_SAMPLE_TIMES = 100_000  # a longer time grid is taken for a typo
+
+
+def _key(f) -> str:
+    unit = f.metadata.get("unit")
+    return f"{f.name}_{unit}" if unit else f.name
+
+
+# file key -> field, for every number and word field of ScenarioConfig;
+# gravity = on|off and the time triple are parsed on their own
+_FIELDS = {_key(f): f for f in fields(ScenarioConfig)
+           if f.type in (int, float, str)}
 
 
 def parse_scenario_file(path: str) -> ScenarioConfig:
@@ -61,29 +55,20 @@ def parse_scenario_file(path: str) -> ScenarioConfig:
               for k in ("t_start_ms", "t_stop_ms", "t_step_ms")}
     overrides = {}
     for key, raw in items.items():
-        if key == "wall_model":
-            if raw not in ("hard", "soft"):
-                raise ConfigurationError("wall_model: must be 'hard' or 'soft'")
-            overrides["wall_model"] = raw
-            continue
-        if key == "spatial":
-            if raw not in ("thermal", "uniform"):
-                raise ConfigurationError(
-                    "spatial: must be 'thermal' or 'uniform'")
-            overrides["spatial"] = raw
-            continue
         if key == "gravity":
             if raw not in ("on", "off"):
                 raise ConfigurationError("gravity: must be 'on' or 'off'")
             overrides["gravity_on"] = raw == "on"
             continue
-        if key not in _SCALED:
+        if key not in _FIELDS:
             raise ConfigurationError(f"config: unknown key '{key}'")
-        attr, conv, scale = _SCALED[key]
+        f = _FIELDS[key]
         try:
-            overrides[attr] = conv(raw) * scale if scale != 1 else conv(raw)
+            value = f.type(raw)
         except ValueError as exc:
             raise ConfigurationError(f"{key}: {exc}") from exc
+        unit = f.metadata.get("unit")
+        overrides[f.name] = value * _UNITS[unit] if unit else value
 
     if any(v is not None for v in t_keys.values()):
         if any(v is None for v in t_keys.values()):
@@ -96,6 +81,9 @@ def parse_scenario_file(path: str) -> ScenarioConfig:
             raise ConfigurationError(f"times: {exc}") from exc
         if dt <= 0 or t1 < t0:
             raise ConfigurationError("times: need t_step_ms > 0 and stop >= start")
+        if not (t1 - t0) / dt + 1 <= MAX_SAMPLE_TIMES:     # NaN fails too
+            raise ConfigurationError(
+                f"times: more than {MAX_SAMPLE_TIMES} sample times")
         overrides["times"] = np.arange(t0, t1 + 0.5 * dt, dt) * 1e-3
 
     cfg = replace(cfg, **overrides)

@@ -1,6 +1,6 @@
 """Thermal-ensemble sampling and ballistic propagation in the box trap.
 
-Atoms are stored struct-of-arrays (positions, velocities, alive) since every
+Atoms are stored struct-of-arrays (positions, velocities) since every
 operation is vectorized over the ensemble.  The random stream is a
 counter-based Philox generator keyed by the 64-bit master seed; samples are
 drawn in fixed atom-index order, so results are reproducible regardless of
@@ -15,7 +15,7 @@ sub-steps, the transverse and the axial motion apart.
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +31,25 @@ MAX_BOUNCE_ROUNDS = 10_000  # bounces of one atom in one call: stuck
 
 @dataclass
 class AtomEnsemble:
-    """Positions (n,3) in m, velocities (n,3) in m/s, alive flags (n,)."""
+    """Positions (n,3) in m and velocities (n,3) in m/s."""
 
     positions: np.ndarray
     velocities: np.ndarray
-    alive: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must have equal shapes")
-        if self.alive is None:
-            self.alive = np.ones(len(self.positions), dtype=bool)
-        else:
-            self.alive = np.asarray(self.alive, dtype=bool)
 
     def __len__(self):
         return len(self.positions)
 
-    def copy(self) -> "AtomEnsemble":
-        return AtomEnsemble(self.positions.copy(), self.velocities.copy(),
-                            self.alive.copy())
+    @property
+    def alive(self) -> np.ndarray:
+        """All True, as no atom is ever lost; read only.  The benchmark's
+        tracer (``bench/tracer.py``) counts simulated atoms with it."""
+        return np.ones(len(self), dtype=bool)
 
 
 def sample_thermal_ensemble(
@@ -246,7 +243,7 @@ def _verlet(pos, vel, accel, interval, dt):
 
 
 def _check_substep(ensemble, dt, trap):
-    v = ensemble.velocities[ensemble.alive]
+    v = ensemble.velocities
     if v.size == 0:
         return
     v3 = max(3.0 * float(np.max(np.std(v, axis=0))),
@@ -271,7 +268,7 @@ def propagate(
     gravity: float = CONSTANTS.g_earth,
     constants: PhysicalConstants = CONSTANTS,
 ) -> AtomEnsemble:
-    """Advance alive atoms ballistically from t_start to t_end.
+    """Advance the atoms ballistically from t_start to t_end.
 
     Constant gravity, no interatomic interactions.  The axial motion is
     decoupled from the transverse motion under either wall model, so each
@@ -283,8 +280,7 @@ def propagate(
     (transverse and axial separately); where both are hard, ``dt`` only
     enters the step guard.  Returns a new ensemble and leaves the input
     alone, so a consumer calls it once per sample interval and folds over
-    the states it returns; no trajectory is stored.  Dead atoms are
-    returned unchanged.
+    the states it returns; no trajectory is stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
@@ -292,12 +288,10 @@ def propagate(
         raise ValueError("dt must be positive")
     _check_substep(ensemble, dt, trap)
 
-    out = ensemble.copy()
-    alive = out.alive
-    if not np.any(alive) or t_end == t_start:
-        return out
-    pos = out.positions[alive]
-    vel = out.velocities[alive]
+    pos = ensemble.positions.copy()
+    vel = ensemble.velocities.copy()
+    if len(pos) == 0 or t_end == t_start:
+        return AtomEnsemble(pos, vel)
 
     interval = t_end - t_start
     half = trap.length / 2.0
@@ -319,10 +313,7 @@ def propagate(
         pos[:, 2], vel[:, 2] = _verlet(
             pos[:, 2], vel[:, 2],
             lambda z: axial_force(z, trap.ring, half, k_B) / m, interval, dt)
-
-    out.positions[alive] = pos
-    out.velocities[alive] = vel
-    return out
+    return AtomEnsemble(pos, vel)
 
 
 def mechanical_energy(ensemble: AtomEnsemble, gravity: float,

@@ -36,12 +36,8 @@ class CompensationSpec:
 
     trap_power: float = 1.9            # W
     trap_wavelength: float = 775e-9    # m
-    comp_power: float = 0.0            # W (0 = to be determined)
-    residual_fraction: float = 0.01    # relative intensity-control imperfection
 
     def __post_init__(self):
-        if not 0.0 <= self.residual_fraction <= 1.0:
-            raise ValueError("residual_fraction must lie in [0, 1]")
         if self.trap_power < 0:
             raise ValueError("trap_power must be non-negative")
 

@@ -23,39 +23,46 @@ from .constants import CONSTANTS
 from .ensemble import propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
 from .geometry import RingPotential, TrapGeometry
-from .spinwave import (EfficiencyCurve, ModeSpec, assign_excitation,
-                       collinear_delta_k, density_estimate, efficiency_total,
-                       mode_overlap)
+from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
+                       assign_excitation, collinear_delta_k, curve_column,
+                       density_estimate, efficiency_total, mode_overlap)
 
-CSV_HEADER = "t_ms,R_overlap,dephasing_factor,loss_factor,R_total"
+CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
 MAX_WORKERS = 64  # KDE threads; a larger count is taken for a typo
+
+
+def _si(default, file_unit):
+    """A field with an SI default, set in files as ``<name>_<file_unit>``."""
+    return field(default=default, metadata={"unit": file_unit})
 
 
 @dataclass
 class ScenarioConfig:
+    """Scenario settings in SI units (K, m, s, m/s^2)."""
+
     atoms: int = 100_000
-    temperature: float = 15e-6          # K
-    trap_radius: float = 95e-6          # m
-    trap_length: float = 3e-3           # m
+    temperature: float = _si(15e-6, "uK")
+    trap_radius: float = _si(95e-6, "um")
+    trap_length: float = _si(3e-3, "mm")
     wall_model: str = "hard"
-    wall_width: float = 20e-6           # m, soft-wall / shift-field flank
-    trap_depth: float = 45e-6           # K
+    wall_width: float = _si(20e-6, "um")    # soft-wall / shift-field flank
+    trap_depth: float = _si(45e-6, "uK")
     gravity_on: bool = True
-    gravity: float = CONSTANTS.g_earth  # m/s^2
-    mode_offset_x: float = 0.0          # m
-    mode_offset_y: float = 0.0          # m
-    mode_waist: float = 65e-6           # m
+    gravity: float = _si(CONSTANTS.g_earth, "m_s2")
+    mode_offset_x: float = _si(0.0, "um")
+    mode_offset_y: float = _si(0.0, "um")
+    mode_waist: float = _si(65e-6, "um")
     spatial: str = "thermal"            # initial density: thermal | uniform
     times: np.ndarray = field(
         default_factory=lambda: np.arange(0.0, 20.0001e-3, 0.4e-3))
-    tau_dephase: float = 28e-3          # s
+    tau_dephase: float = _si(28e-3, "ms")
     loss_fast_fraction: float = 0.5
-    loss_tau_fast: float = 0.16         # s
-    loss_tau_slow: float = 0.58         # s
-    grid_extent: float = 150e-6         # m
+    loss_tau_fast: float = _si(0.16, "ms")
+    loss_tau_slow: float = _si(0.58, "ms")
+    grid_extent: float = _si(150e-6, "um")
     grid_resolution: int = 128
-    kde_bandwidth: float = 10e-6        # m
-    dt: float = 5e-6                    # s, soft-wall sub-step and step guard
+    kde_bandwidth: float = _si(10e-6, "um")
+    dt: float = _si(5e-6, "us")         # soft-wall sub-step and step guard
     seed: int = 0
     workers: int = 1
 
@@ -223,11 +230,11 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
 def curve_to_csv(curve: EfficiencyCurve) -> str:
     """Stable CSV serialization: fixed header, LF endings, 9 significant
     digits."""
+    columns = [curve.times * 1e3] + [curve_column(curve, name)
+                                     for name in CURVE_COLUMNS]
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    for i in range(len(curve.times)):
-        row = (curve.times[i] * 1e3, curve.overlap[i], curve.dephasing[i],
-               curve.loss[i], curve.total[i])
+    for row in zip(*columns):
         buf.write(",".join(f"{v:.9g}" for v in row) + "\n")
     return buf.getvalue()
 
@@ -243,8 +250,7 @@ def read_curve_csv(path) -> EfficiencyCurve:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0 or data.shape[1] != 5:
+    if data.size == 0 or data.shape[1] != 1 + len(CURVE_COLUMNS):
         raise ValueError("CSV has no data rows or a wrong column count")
-    return EfficiencyCurve(times=data[:, 0] * 1e-3, overlap=data[:, 1],
-                           dephasing=data[:, 2], loss=data[:, 3],
-                           total=data[:, 4])
+    return EfficiencyCurve(times=data[:, 0] * 1e-3, **{
+        attr: data[:, j] for j, attr in enumerate(CURVE_COLUMNS.values(), 1)})

@@ -6,26 +6,15 @@ with fixed precision and no timestamps or ids are embedded.
 
 import numpy as np
 
-from .spinwave import EfficiencyCurve
+from .spinwave import (CURVE_COLUMNS, TOTAL_COLUMN, EfficiencyCurve,
+                       curve_column)
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 16, 48
 
-COLUMN_COLORS = {
-    "R_total": "#1f77b4",
-    "R_overlap": "#ff7f0e",
-    "dephasing_factor": "#2ca02c",
-    "loss_factor": "#d62728",
-}
-
-
-def _column(curve: EfficiencyCurve, name: str) -> np.ndarray:
-    try:
-        return {"R_total": curve.total, "R_overlap": curve.overlap,
-                "dephasing_factor": curve.dephasing,
-                "loss_factor": curve.loss}[name]
-    except KeyError:
-        raise ValueError(f"unknown column '{name}'") from None
+# one stroke colour per curve column, in CURVE_COLUMNS order
+COLUMN_COLORS = dict(zip(CURVE_COLUMNS,
+                         ("#ff7f0e", "#2ca02c", "#d62728", "#1f77b4")))
 
 
 def axis_mapping(t_ms, values, log_y: bool):
@@ -50,14 +39,16 @@ def axis_mapping(t_ms, values, log_y: bool):
     return x0, sx, y0, sy
 
 
-def render_svg(curve: EfficiencyCurve, columns=("R_total",),
+def render_svg(curve: EfficiencyCurve, columns=(TOTAL_COLUMN,),
                log_y: bool = False) -> str:
     """Render the requested factor columns as one polyline each."""
     if len(curve.times) == 0:
         raise ValueError("curve has no points")
     t_ms = np.asarray(curve.times) * 1e3
-    series = {name: _column(curve, name) for name in columns}
+    series = {name: curve_column(curve, name) for name in columns}
     stacked = np.concatenate(list(series.values()))
+    if not (np.all(np.isfinite(t_ms)) and np.all(np.isfinite(stacked))):
+        raise ValueError("times and values must be finite")
     x0, sx, y0, sy = axis_mapping(t_ms, stacked, log_y)
 
     parts = [
@@ -81,8 +72,7 @@ def render_svg(curve: EfficiencyCurve, columns=("R_total",),
         vv = np.log10(np.maximum(v, 1e-12)) if log_y else v
         pts = " ".join(f"{x0 + sx * t:.3f},{y0 + sy * u:.3f}"
                        for t, u in zip(t_ms, vv))
-        color = COLUMN_COLORS.get(name, "#333333")
-        parts.append(f'<polyline fill="none" stroke="{color}" '
+        parts.append(f'<polyline fill="none" stroke="{COLUMN_COLORS[name]}" '
                      f'stroke-width="1.5" data-column="{name}" '
                      f'points="{pts}"/>')
     # sparse tick labels
@@ -95,7 +85,8 @@ def render_svg(curve: EfficiencyCurve, columns=("R_total",),
     return "\n".join(parts) + "\n"
 
 
-def write_svg(curve: EfficiencyCurve, path: str, columns=("R_total",),
+def write_svg(curve: EfficiencyCurve, path: str, columns=(TOTAL_COLUMN,),
               log_y: bool = False):
+    svg = render_svg(curve, columns=columns, log_y=log_y)
     with open(path, "w", newline="\n") as fh:
-        fh.write(render_svg(curve, columns=columns, log_y=log_y))
+        fh.write(svg)

@@ -32,7 +32,6 @@ class ModeSpec:
 
     center: tuple[float, float] = (0.0, 0.0)  # m, transverse (x, y)
     waist_w0: float = 65e-6                   # m
-    wavelength: float = CONSTANTS.lambda_D2   # m
 
     def __post_init__(self):
         if not self.waist_w0 > 0:
@@ -80,13 +79,12 @@ def collinear_delta_k(constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
 
 
 def assign_excitation(positions: np.ndarray, signal: ModeSpec,
-                      write: ModeSpec | None = None,
                       delta_k: np.ndarray | None = None) -> SpinWaveRecord:
     """Create the spin wave: raw weight exp(-|r_perp - center|^2 / w0^2)
     from the signal mode, then normalized.
 
-    The much larger write mode (default 275 um waist) varies by < 6% over
-    the signal waist and is treated as uniform.
+    The much larger write mode (275 um waist) varies by < 6% over the
+    signal waist, so it is treated as uniform and takes no argument.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if len(positions) == 0:
@@ -215,6 +213,19 @@ class EfficiencyCurve:
     dephasing: np.ndarray
     loss: np.ndarray
     total: np.ndarray
+
+
+TOTAL_COLUMN = "R_total"    # the column fitted, scanned and drawn by default
+# CSV column name -> EfficiencyCurve attribute, in file order after t_ms
+CURVE_COLUMNS = {"R_overlap": "overlap", "dephasing_factor": "dephasing",
+                 "loss_factor": "loss", TOTAL_COLUMN: "total"}
+
+
+def curve_column(curve: EfficiencyCurve, name: str) -> np.ndarray:
+    """The values of the named CSV column of ``curve``."""
+    if name not in CURVE_COLUMNS:
+        raise ValueError(f"unknown column '{name}'")
+    return getattr(curve, CURVE_COLUMNS[name])
 
 
 def efficiency_total(times, overlap, tau_dephase: float = 28e-3,

@@ -175,4 +175,11 @@ def test_extrema_validation():
         find_extrema(t[:3], np.ones(3))
     with pytest.raises(ValueError):
         find_extrema(t, np.cos(t), window=4)
+    for bad in (np.nan, np.inf):
+        y = np.cos(10 * t)
+        y[20] = bad
+        with pytest.raises(ValueError, match="finite"):
+            find_extrema(t, y)
+        with pytest.raises(ValueError, match="finite"):
+            find_extrema(np.where(t == t[20], bad, t), np.cos(10 * t))
     assert find_extrema(t, np.ones_like(t)).extrema == []

@@ -61,6 +61,7 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     "loss_fast_fraction = nan", "workers = 0", "workers = 100000",
     "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5",
     "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan",
+    "t_start_ms = 0\nt_stop_ms = 1e9\nt_step_ms = 1e-3",
 ])
 def test_simulate_bad_config_key_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "s.cfg"
@@ -119,17 +120,22 @@ def test_fit_too_few_rows_exits_2(tmp_path, capsys):
     assert main(["fit", "--input", str(path)]) == 2
 
 
-@pytest.mark.parametrize("model", ["exp", "dexp"])
-def test_fit_nonfinite_csv_exits_2(tmp_path, capsys, model):
+@pytest.mark.parametrize("command", ["exp", "dexp", "extrema", "render"])
+def test_fit_nonfinite_csv_exits_2(tmp_path, capsys, command):
     path = tmp_path / "c.csv"
     make_curve_csv(path)
     lines = path.read_text().splitlines()
     lines[5] = "0.01,nan,1,1,nan"
     path.write_text("\n".join(lines) + "\n")
-    assert main(["fit", "--input", str(path), "--model", model]) == 2
+    svg = tmp_path / "c.svg"
+    argv = {"exp": ["fit", "--model", "exp"],
+            "dexp": ["fit", "--model", "dexp"], "extrema": ["extrema"],
+            "render": ["render", "--out", str(svg)]}
+    assert main(argv[command] + ["--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
-    assert "converged" not in captured.out
+    assert captured.out == ""
+    assert not svg.exists()
 
 
 def test_fit_missing_file_exits_2(tmp_path):

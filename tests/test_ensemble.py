@@ -247,6 +247,23 @@ def test_soft_end_cap_turns_the_atom_back(wall_model):
     assert np.array_equal(out.positions[0, :2], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("wall_model", ["hard", "soft"])
+@pytest.mark.parametrize("endcap_model", ["hard", "soft"])
+def test_propagate_leaves_its_input_alone(wall_model, endcap_model):
+    # run_scenario keeps the first sample's positions as the phi_2 origin
+    # while it propagates on from them
+    trap = TrapGeometry(wall_model=wall_model, endcap_model=endcap_model)
+    ens = sample_thermal_ensemble(500, trap, T15, seed=12)
+    pos, vel = ens.positions.copy(), ens.velocities.copy()
+    out = propagate(ens, 0.0, 2e-3, trap=trap)
+    assert np.array_equal(ens.positions, pos)
+    assert np.array_equal(ens.velocities, vel)
+    assert not np.array_equal(out.positions, pos)
+    for a in (out.positions, out.velocities):
+        for b in (ens.positions, ens.velocities):
+            assert not np.shares_memory(a, b)
+
+
 def test_soft_wall_energy_drift_100ms():
     ring = RingPotential()
     trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)

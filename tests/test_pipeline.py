@@ -118,8 +118,9 @@ def test_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == CSV_HEADER
     assert "\r" not in text
     back = read_curve_csv(str(path))
-    assert np.allclose(back.times, res.curve.times, rtol=1e-8)
-    assert np.allclose(back.total, res.curve.total, rtol=1e-8)
+    for name in ("times", "overlap", "dephasing", "loss", "total"):
+        assert np.allclose(getattr(back, name), getattr(res.curve, name),
+                           rtol=1e-8)
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -158,6 +159,38 @@ t_step_ms = 0.5
     assert not cfg.gravity_on
     assert cfg.effective_gravity() == 0.0
     assert np.allclose(cfg.times, [0.0, 0.5e-3, 1.0e-3, 1.5e-3, 2.0e-3])
+
+    # every key, and the field and SI value it sets
+    every = [
+        ("atoms", "300", "atoms", 300),
+        ("temperature_uK", "12", "temperature", 12e-6),
+        ("trap_radius_um", "90", "trap_radius", 90e-6),
+        ("trap_length_mm", "2.5", "trap_length", 2.5e-3),
+        ("wall_model", "soft", "wall_model", "soft"),
+        ("wall_width_um", "18", "wall_width", 18e-6),
+        ("trap_depth_uK", "40", "trap_depth", 40e-6),
+        ("gravity", "on", "gravity_on", True),
+        ("gravity_m_s2", "9.5", "gravity", 9.5),
+        ("mode_offset_x_um", "-5", "mode_offset_x", -5e-6),
+        ("mode_offset_y_um", "7", "mode_offset_y", 7e-6),
+        ("mode_waist_um", "60", "mode_waist", 60e-6),
+        ("spatial", "uniform", "spatial", "uniform"),
+        ("tau_dephase_ms", "30", "tau_dephase", 30e-3),
+        ("loss_fast_fraction", "0.4", "loss_fast_fraction", 0.4),
+        ("loss_tau_fast_ms", "150", "loss_tau_fast", 0.15),
+        ("loss_tau_slow_ms", "600", "loss_tau_slow", 0.6),
+        ("grid_extent_um", "140", "grid_extent", 140e-6),
+        ("grid_resolution", "64", "grid_resolution", 64),
+        ("kde_bandwidth_um", "9", "kde_bandwidth", 9e-6),
+        ("dt_us", "4", "dt", 4e-6),
+        ("seed", "11", "seed", 11),
+        ("workers", "2", "workers", 2),
+    ]
+    p.write_text("[scenario]\n" + "".join(f"{key} = {raw}\n"
+                                          for key, raw, _, _ in every))
+    cfg = parse_scenario_file(str(p))
+    for key, _, name, value in every:
+        assert getattr(cfg, name) == pytest.approx(value, rel=1e-15), key
 
 
 def test_config_file_errors(tmp_path):
