@@ -8,9 +8,13 @@ how downstream consumers chunk the arrays.
 
 Hard walls are event-driven (Alder & Wainwright, J. Chem. Phys. 31, 459
 (1959); Lehtihet & Miller, Physica D 21, 93 (1986)): an atom flies its exact
-free-fall parabola to the next wall hit, the first root of a quartic in
-time.  Soft walls and soft end caps are integrated with velocity-Verlet
-sub-steps, the transverse and the axial motion apart.
+free-fall parabola to the next wall hit, the first rising root of a quartic
+in time.  That root is solved for all atoms at once: the closed-form roots
+of the quartic's second derivative, a parabola, cut the flight into at most
+three pieces of one curvature sign each, and on each piece Newton's method
+converges monotonically from a side where it cannot pass a root.  Soft
+walls and soft end caps are integrated with velocity-Verlet sub-steps, the
+transverse and the axial motion apart.
 
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
@@ -27,6 +31,13 @@ DEFAULT_DT = 5e-6  # s, sub-step; thermal atoms move ~0.3 um per step
 ON_WALL = 1e-13  # |rho^2 / R^2 - 1| on the hard wall; bounces leave ~1e-16
 WALL_TOL = 1e-12  # relative distance past the hard wall that counts as out
 MAX_BOUNCE_ROUNDS = 10_000  # bounces of one atom in one call: stuck
+# Newton steps of one wall-hit solve: thermal runs take at most 10, and a
+# double root, whose error halves per step, about 40
+MAX_NEWTON_STEPS = 200
+# barometric rejection sampling that needs over 1000 candidates per atom is
+# taken for a cloud too cold for the trap (about 0.1 uK for R = 95 um, below
+# the recoil limit); at 1e-15 K it would never accept one
+MIN_ACCEPTANCE = 1e-3
 
 
 @dataclass
@@ -66,7 +77,9 @@ def sample_thermal_ensemble(
     Velocities are Maxwell-Boltzmann at ``temperature``.  Positions are
     uniform over the cylinder cross-section weighted by the barometric
     factor exp(-m g y / k_B T) (rejection sampling), uniform along the
-    axis.  ``spatial="uniform"`` disables the barometric weighting.
+    axis.  ``spatial="uniform"`` disables the barometric weighting.  Raises
+    NumericalError where under MIN_ACCEPTANCE of the positions drawn would
+    be kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -88,7 +101,8 @@ def sample_thermal_ensemble(
                     if barometric else np.inf)
 
     xy = np.empty((n, 2))
-    filled = 0
+    filled = drawn = 0
+    expected = 0.0                  # the sum of the acceptance probabilities
     while filled < n:
         m = max(2 * (n - filled), 1024)
         # uniform over the disc
@@ -98,6 +112,13 @@ def sample_thermal_ensemble(
         if barometric:
             # accept prob normalized to 1 at the bottom of the trap
             accept = np.exp(-(cand[:, 1] + trap.radius) / scale_height)
+            drawn += m
+            expected += accept.sum()
+            if expected < MIN_ACCEPTANCE * drawn:
+                raise NumericalError(
+                    f"barometric sampling accepts under {MIN_ACCEPTANCE:g} of "
+                    f"the positions drawn (scale height {scale_height:.3g} m): "
+                    "too cold for the trap")
             cand = cand[rng.random(m) < accept]
         k = min(len(cand), n - filled)
         xy[filled:filled + k] = cand[:k]
@@ -118,31 +139,96 @@ def _fold_axial(z, vz, half):
     return z_f, vz_f
 
 
-def _first_root(coef, horizon):
-    """First root in (0, horizon] at which sum_k coef[:, k] t**k rises
-    through zero, np.inf where there is none; one polynomial per row.
-
-    The roots are the eigenvalues of the companion matrix of the polynomial
-    in s = t / horizon, each polished by one Newton step in t.
-    """
-    m, deg = coef.shape[0], coef.shape[1] - 1
-    a = coef * horizon[:, None] ** np.arange(deg + 1)
-    comp = np.zeros((m, deg, deg))
-    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    comp[:, :, -1] = -a[:, :-1] / a[:, -1:]
-    s = np.linalg.eigvals(comp)
-    t = np.where(np.abs(s.imag) <= 1e-6, s.real, np.nan) * horizon[:, None]
-    f = np.zeros_like(t)
-    df = np.zeros_like(t)
-    for k in range(deg, -1, -1):                # Horner, value and slope
+def _poly(c, t):
+    """Value and slope at t of sum_k c[k] t**k (Horner)."""
+    f, df = c[-1] * t + c[-2], c[-1]
+    for ck in c[-3::-1]:
         df = df * t + f
-        f = f * t + coef[:, k, None]
+        f = f * t + ck
+    return f, df
+
+
+def _first_root(coef, horizon):
+    """First root in (0, horizon] at which P(t) = sum_k coef[:, k] t**k
+    rises through zero, np.inf where there is none; one polynomial per row
+    of degree 3 or 4 whose P'' has a non-negative t**2 coefficient, and a
+    positive t coefficient where that is zero.
+
+    The roots of the parabola P'' split [0, horizon] into a convex, a
+    concave and a convex piece (any may be empty), and on each piece one
+    Newton iteration converges monotonically to the piece's rising root:
+    - convex, started from the right at the zero of the quadratic lower
+      bound P(b) + P'(b) (t - b) + min P'' (t - b)^2 / 2, which lies between
+      the root and b.  P(a) < 0 <= P(b) holds exactly one rising root; with
+      P(a) >= 0 a dip below zero needs P'(a) < 0, and its rising root is the
+      larger one, which Newton from the right reaches first.
+    - concave, started from the left at a; it can rise through zero only
+      while P' > 0, so P(a) < 0 < P'(a) is needed.
+    Where the far end does not prove a root, there is none once the start
+    or an iterate leaves the piece or P' changes sign, which never happens
+    on the way to a root.  The iteration stops when P has crossed to the
+    root's far side, which only rounding does, or when the step is
+    rounding; one more Newton step from there is the root.  The first piece
+    with a root holds the first rising root, so none is skipped.
+    """
+    m, n = coef.shape
+    t_root = np.full(m, np.inf)
+    if m == 0:
+        return t_root
+    c = np.ascontiguousarray(coef.T)
+    # P'' = q0 + q1 t + q2 t^2 and its roots, lower and upper edge of the
+    # concave piece; a cubic's P'' is linear with its root as upper edge
+    q0, q1 = 2.0 * c[2], 6.0 * c[3]
+    q2 = 12.0 * c[4] if n == 5 else np.zeros(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = f / df
-    # a near-double root has a vanishing slope; keep it unpolished
-    t = np.where(np.abs(step) <= 1e-6 * horizon[:, None], t - step, t)
-    rising = (t > 0) & (t <= horizon[:, None]) & (df >= 0)
-    return np.where(rising, t, np.inf).min(axis=1)
+        s = -0.5 * (q1 + np.copysign(np.sqrt(q1 * q1 - 4.0 * q2 * q0), q1))
+        r1, r2 = s / q2, q0 / s                 # NaN where P'' has no root
+        vertex = -0.5 * q1 / q2
+    edges = [np.fmin(np.fmax(r, 0.0), horizon)  # NaN -> 0: all convex
+             for r in (np.fmin(r1, r2), np.fmax(r1, r2))]
+    a = np.concatenate([np.zeros(m)] + edges)
+    b = np.concatenate(edges + [horizon])
+    convex = np.repeat([True, False, True], m)
+    rows = np.tile(np.arange(m), 3)
+    keep = b > a
+    a, b, convex, rows = a[keep], b[keep], convex[keep], rows[keep]
+    tol = 1e-15 * horizon[rows]
+
+    cr = c[:, rows]
+    (fa, fb), (dfa, dfb) = _poly(cr, np.stack((a, b)))
+    v = np.fmin(np.fmax(vertex[rows], a), b)    # where P'' is least
+    curv = np.maximum(q0[rows] + (q1[rows] + q2[rows] * v) * v, 0.0)
+    disc = dfb * dfb - 2.0 * curv * fb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(convex, b - 2.0 * fb / (dfb + np.sqrt(
+            np.maximum(disc, 0.0))), a)
+    certain = np.where(convex, fa < 0, fb >= 0)
+    # a dip's lower bound must reach zero inside the piece
+    dip = (dfa < 0) & (disc >= 0) & (x >= a)
+    ok = np.where(convex, (fb >= 0) & (dfb > 0) & (certain | dip),
+                  (fa < 0) & (dfa > 0))
+
+    task = np.flatnonzero(ok)
+    root = np.full(len(a), np.inf)
+    for _ in range(MAX_NEWTON_STEPS):
+        if task.size == 0:
+            break
+        x, a, b, tol = x[ok], a[ok], b[ok], tol[ok]
+        convex, certain, cr = convex[ok], certain[ok], cr[:, ok]
+        f, df = _poly(cr, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_next = np.where(df > 0, x - f / df, x)
+        # P' <= 0 where a root is certain: a double root, to rounding
+        at_root = np.where(convex, f <= 0, f >= 0) | (df <= 0) & certain
+        lost = ~certain & ~at_root & ((df <= 0) | (x_next < a) | (x_next > b))
+        found = ~lost & (at_root | (np.abs(x_next - x) <= tol))
+        root[task[found]] = x_next[found]
+        ok = ~(found | lost)
+        task, x = task[ok], x_next
+    else:
+        raise NumericalError("wall-hit root solve did not converge")
+    np.minimum.at(t_root, rows, root)
+    return t_root
 
 
 def _next_hit(x, y, vx, vy, horizon, g, r2):
@@ -152,7 +238,9 @@ def _next_hit(x, y, vx, vy, horizon, g, r2):
     Along the parabola rho^2(t) - R^2 = c0 + c1 t + c2 t^2 + c3 t^3 + c4 t^4.
     For an atom on the wall c0 is rounding noise and the factor
     c1 + c2 t + c3 t^2 + c4 t^3 is solved instead, which leaves out the
-    root at t = 0.
+    root at t = 0.  Both have the curvature _first_root needs: the quartic's
+    second derivative is 2 (|v(t)|^2 - g y(t)), a parabola with leading
+    coefficient 3 g^2, and the factor's is linear with slope 1.5 g^2.
     """
     v2 = vx * vx + vy * vy
     c0 = x * x + y * y - r2
@@ -197,8 +285,8 @@ def _fly_hard(pos, vel, interval, radius, g):
     """
     r2 = radius * radius
     x, y, vx, vy = pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1]
-    idx = np.arange(len(pos))
     left = np.full(len(pos), float(interval))
+    idx = slice(None)               # the first round flies every atom in place
     for _ in range(MAX_BOUNCE_ROUNDS):
         horizon = left[idx]
         t = _next_hit(x[idx], y[idx], vx[idx], vy[idx], horizon, g, r2)
@@ -208,7 +296,7 @@ def _fly_hard(pos, vel, interval, radius, g):
         y[idx] += (vy[idx] - 0.5 * g * t) * t
         vy[idx] -= g * t
         left[idx] = horizon - t
-        idx = idx[hit]
+        idx = np.flatnonzero(hit) if isinstance(idx, slice) else idx[hit]
         rho = np.hypot(x[idx], y[idx])
         nx, ny = x[idx] / rho, y[idx] / rho
         x[idx], y[idx] = radius * nx, radius * ny

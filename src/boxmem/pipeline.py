@@ -29,6 +29,9 @@ from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
 
 CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
 MAX_WORKERS = 64  # KDE threads; a larger count is taken for a typo
+# a run holds about 300 bytes per atom, so 10^7 atoms need about 3 GB; a
+# larger count is taken for a typo rather than left to fail in allocation
+MAX_ATOMS = 10_000_000
 
 
 def _si(default, file_unit):
@@ -71,7 +74,8 @@ class ScenarioConfig:
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name}: must be finite")
         checks = [
-            ("atoms", self.atoms >= 1, "must be >= 1"),
+            ("atoms", 1 <= self.atoms <= MAX_ATOMS,
+             f"must lie in [1, {MAX_ATOMS}]"),
             ("temperature", self.temperature >= 0, "must be non-negative"),
             ("trap_radius", self.trap_radius > 0, "must be positive"),
             ("trap_length", self.trap_length > 0, "must be positive"),

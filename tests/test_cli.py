@@ -73,6 +73,28 @@ def test_simulate_bad_config_key_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_simulate_too_many_atoms_exits_2(tmp_path, capsys):
+    # a bound, not a multi-TiB allocation that fails with a traceback
+    out = tmp_path / "c.csv"
+    assert main(["simulate", "--preset", "centered", "--atoms",
+                 "1000000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: atoms:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_too_cold_exits_3(tmp_path, capsys):
+    # at 1e-15 K the barometric rejection sampler would never accept a
+    # position; the default 10^5 atoms must not make it slow to say so
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[scenario]\ntemperature_uK = 1e-9\n")
+    out = tmp_path / "c.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "too cold" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_simulate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
     assert main(["simulate", "--preset", "centered", "--seed", str(seed),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmem.constants import CONSTANTS
-from boxmem.ensemble import (AtomEnsemble, mechanical_energy, propagate,
-                             sample_thermal_ensemble)
+from boxmem.ensemble import (AtomEnsemble, _first_root, mechanical_energy,
+                             propagate, sample_thermal_ensemble)
 from boxmem.errors import ConfigurationError, NumericalError
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 
@@ -181,6 +181,154 @@ def test_unresolvable_flight_fails_loudly(pos, vel, g):
     ens = AtomEnsemble(np.array([pos]) * TRAP.radius, np.array([vel]))
     with pytest.raises(NumericalError):
         propagate(ens, 0.0, 1e-3, trap=TRAP, gravity=g)
+
+
+def _first_root_eigvals(coef, horizon):
+    """Reference for _first_root: every root as an eigenvalue of the
+    companion matrix of the polynomial in s = t / horizon, each polished by
+    one Newton step in t; the first rising one in (0, horizon]."""
+    m, deg = coef.shape[0], coef.shape[1] - 1
+    a = coef * horizon[:, None] ** np.arange(deg + 1)
+    comp = np.zeros((m, deg, deg))
+    comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    comp[:, :, -1] = -a[:, :-1] / a[:, -1:]
+    s = np.linalg.eigvals(comp)
+    t = np.where(np.abs(s.imag) <= 1e-6, s.real, np.nan) * horizon[:, None]
+    f = np.zeros_like(t)
+    df = np.zeros_like(t)
+    for k in range(deg, -1, -1):                # Horner, value and slope
+        df = df * t + f
+        f = f * t + coef[:, k, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = f / df
+    # a near-double root has a vanishing slope; keep it unpolished
+    t = np.where(np.abs(step) <= 1e-6 * horizon[:, None], t - step, t)
+    rising = (t > 0) & (t <= horizon[:, None]) & (df >= 0)
+    return np.where(rising, t, np.inf).min(axis=1)
+
+
+def _hit_coefficients(states, g, on_wall):
+    """The polynomials _next_hit solves: rho^2(t) - R^2 of free fall, or
+    its factor (rho^2 - R^2) / t for atoms on the wall."""
+    x, y, vx, vy = np.array(states).T
+    r2 = TRAP.radius ** 2
+    coef = np.column_stack((x * x + y * y - r2, 2.0 * (x * vx + y * vy),
+                            vx * vx + vy * vy - g * y, -g * vy,
+                            np.full(len(x), 0.25 * g * g)))
+    return coef[:, 1:] if on_wall else coef
+
+
+def _near_miss(c, h, on_wall, t_end):
+    """Whether the path comes within 1e-9 R of the wall without crossing
+    it, at a turning point of the solved polynomial c before t_end or at the
+    horizon h: there rounding decides the hit."""
+    turns = np.roots(np.polyder(c[::-1]))
+    turns = turns[np.abs(turns.imag) <= 1e-9 * h].real
+    for t in np.append(turns[(turns > 0) & (turns < min(h, t_end))], h):
+        path = np.polyval(c[::-1], t) * (t if on_wall else 1.0)
+        if -2e-9 * TRAP.radius ** 2 < path <= 0.0 and t <= t_end:
+            return True
+    return False
+
+
+_wall_angle = st.floats(math.pi, 2.0 * math.pi)       # lower half of the wall
+
+
+@st.composite
+def _hit_state(draw, on_wall):
+    """(x, y, vx, vy) of an atom on the lower half of the wall moving
+    inward, at a normal speed of zero, of rounding size or ordinary; or of
+    one inside, anywhere or slow and just below the ceiling."""
+    if on_wall:
+        phi = draw(_wall_angle)
+        nx, ny = math.cos(phi), math.sin(phi)
+        vn = draw(st.sampled_from([0.0, 1e-15, 1e-9])
+                  | st.floats(1e-6, 0.2))
+        vt = draw(st.floats(-0.2, 0.2).filter(lambda v: abs(v) > 1e-4))
+        return (TRAP.radius * nx, TRAP.radius * ny,
+                -vn * nx - vt * ny, -vn * ny + vt * nx)
+    if draw(st.booleans()):
+        r = draw(st.floats(0.0, 1.0 - 1e-6)) * TRAP.radius
+        phi = draw(_angle)
+        return (r * math.cos(phi), r * math.sin(phi), draw(_speed),
+                draw(_speed))
+    slow = st.floats(-3e-3, 3e-3)
+    depth = draw(st.floats(1e-8, 1e-2))
+    return 0.0, TRAP.radius * (1.0 - depth), draw(slow), draw(slow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), on_wall=st.booleans(),
+       g=st.sampled_from([9.81, -9.81, 1e-3]))
+def test_first_root_matches_eigvals(data, on_wall, g):
+    states = data.draw(st.lists(_hit_state(on_wall), min_size=1, max_size=8))
+    # up to 10 ms, the longest interval these tests hand to propagate
+    horizon = np.array(data.draw(st.lists(st.floats(1e-6, 1e-2),
+                                          min_size=len(states),
+                                          max_size=len(states))))
+    coef = _hit_coefficients(states, g, on_wall)
+    got = _first_root(coef, horizon)
+    want = _first_root_eigvals(coef, horizon)
+    for i in range(len(states)):
+        if _near_miss(coef[i], horizon[i], on_wall, min(got[i], want[i])):
+            continue
+        assert np.isfinite(got[i]) == np.isfinite(want[i]), (states[i], g)
+        if np.isfinite(got[i]):
+            assert abs(got[i] - want[i]) <= 1e-12 * horizon[i]
+
+
+def _poly_from_roots(*roots):
+    """Coefficients, lowest power first, of the monic polynomial."""
+    return np.polynomial.polynomial.polyfromroots(roots)
+
+
+_EPS = 2.0 ** -40       # 0.25 +- _EPS is exact, and sqrt(_EPS) = 2**-20
+
+
+def _touch(eps):
+    """(t^2 - 4) ((t - 0.5)^2 + eps): below zero on [0, 2) up to a peak
+    near 0.5 that misses zero by about 3.75 eps."""
+    return np.polynomial.polynomial.polymul([-4.0, 0.0, 1.0],
+                                            [0.25 + eps, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("coef, horizon, root", [
+    # convex on [0, h]: P'' = 12 t^2 + 1.5 > 0, rising root at 0.5
+    ([-0.25, 0.0, 0.75, 0.0, 1.0], 1.0, 0.5),
+    # P'' < 0 on [0, 1.068]: that concave piece rises through 0.2 and falls
+    # through 0.6, before the convex piece rises through 2
+    (_poly_from_roots(-1.0, 0.2, 0.6, 2.0), 1.0, 0.2),
+    (_poly_from_roots(-1.0, 0.2, 0.6, 2.0), 3.0, 0.2),
+    (_poly_from_roots(0.2, 0.6, 2.0), 3.0, 0.2),     # cubic, concave first
+    # convex from zero, where it falls: a dip, which rises through 0.5; the
+    # factor of an atom that leaves the wall tangentially, pulled inward
+    (_poly_from_roots(-1.0, 0.0, 0.5), 1.0, 0.5),
+    # near miss: P peaks at -3.75 eps near 0.5, then rises through 2
+    (_touch(_EPS), 3.0, 2.0),
+    (_touch(_EPS), 1.9, math.inf),
+])
+def test_first_root_by_curvature(coef, horizon, root):
+    got = _first_root(np.array([coef], dtype=float), np.array([horizon]))
+    assert got[0] == pytest.approx(root, rel=1e-12)
+
+
+def test_first_root_skips_a_dip_that_cannot_reach_zero():
+    # an atom inside, 10 ms of flight: convex up to 2.96 ms, where it has hit
+    # at 1.98 ms, concave to 8.28 ms, then convex again from above zero
+    # with P' < 0: a dip is possible, but the tangent from 10 ms reaches
+    # zero at -0.46 ms, left of the piece, so there is none
+    coef = [-4.98944969429395e-09, -2.547393849195682e-06,
+            0.0035334229165218363, -0.5405546284599854, 24.059025000000002]
+    got = _first_root(np.array([coef]), np.array([0.01]))
+    assert got[0] == pytest.approx(1.98121e-3, rel=1e-5)
+
+
+def test_first_root_grazing_hit():
+    # P peaks at +3.75 eps and rises through 0.5 - 2**-20 first; there its
+    # slope is only 7.5e-6, so rounding in P (about 1e-15) moves the root by
+    # about 1e-10
+    got = _first_root(np.array([_touch(-_EPS)]), np.array([3.0]))
+    assert got[0] == pytest.approx(0.5 - 2.0 ** -20, abs=1e-9)
 
 
 def test_hard_wall_energy_conserved():
