@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 
 from boxmem.constants import CONSTANTS
+from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry
 from boxmem.lightshift import (ShiftField, calibrate_wall_width,
                                one_over_e_time, simulate_coherence)
@@ -23,8 +24,9 @@ def tau_for_width(width, n_atoms=5000):
     ring = RingPotential(wall_width=width)
     trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
     dt = min(5e-6, 0.08 * width / (5.0 * SIGMA_V))
-    times, c = simulate_coherence(ShiftField(ring), trap, n_atoms=n_atoms,
-                                  t_max=3e-3, sample_dt=2e-5, dt=dt)
+    ens = sample_thermal_ensemble(n_atoms, trap, 15e-6)
+    times, c = simulate_coherence(ShiftField(ring), trap, ens, t_max=3e-3,
+                                  sample_dt=2e-5, dt=dt)
     return one_over_e_time(times, c)
 
 

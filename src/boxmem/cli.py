@@ -10,7 +10,6 @@ from dataclasses import replace
 
 from .analysis import find_extrema, fit_double_exponential, fit_exponential
 from .config import parse_scenario_file
-from .constants import CONSTANTS
 from .errors import CalibrationError, NumericalError
 from .lightshift import (CompensationSpec, optimal_compensation_power,
                          residual_lifetime)
@@ -116,7 +115,7 @@ def _cmd_extrema(args) -> int:
 def _cmd_compensation(args) -> int:
     spec = CompensationSpec(trap_power=args.power,
                             trap_wavelength=args.trap_nm * 1e-9)
-    p_comp = optimal_compensation_power(spec, CONSTANTS)
+    p_comp = optimal_compensation_power(spec)
     tau0 = args.tau0_ms * 1e-3
     print(f"trap_power_W={args.power:.6g}")
     print(f"trap_wavelength_nm={args.trap_nm:.6g}")

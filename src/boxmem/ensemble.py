@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import ConfigurationError, NumericalError
 from .geometry import TrapGeometry, axial_force, transverse_force
 
@@ -69,7 +69,6 @@ def sample_thermal_ensemble(
     temperature: float,
     gravity: float = CONSTANTS.g_earth,
     seed: int = 0,
-    constants: PhysicalConstants = CONSTANTS,
     spatial: str = "thermal",
 ) -> AtomEnsemble:
     """Draw n atoms in thermal equilibrium inside the cylinder.
@@ -92,12 +91,12 @@ def sample_thermal_ensemble(
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
-    sigma_v = np.sqrt(constants.k_B * temperature / constants.m_atom)
+    sigma_v = np.sqrt(CONSTANTS.k_B * temperature / CONSTANTS.m_atom)
     velocities = sigma_v * rng.standard_normal((n, 3)) if sigma_v > 0 \
         else np.zeros((n, 3))
 
     barometric = (spatial == "thermal" and gravity != 0.0 and temperature > 0)
-    scale_height = (constants.k_B * temperature / (constants.m_atom * gravity)
+    scale_height = (CONSTANTS.k_B * temperature / (CONSTANTS.m_atom * gravity)
                     if barometric else np.inf)
 
     xy = np.empty((n, 2))
@@ -354,7 +353,6 @@ def propagate(
     dt: float = DEFAULT_DT,
     trap: TrapGeometry = TrapGeometry(),
     gravity: float = CONSTANTS.g_earth,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> AtomEnsemble:
     """Advance the atoms ballistically from t_start to t_end.
 
@@ -383,7 +381,7 @@ def propagate(
 
     interval = t_end - t_start
     half = trap.length / 2.0
-    m, k_B = constants.m_atom, constants.k_B
+    m, k_B = CONSTANTS.m_atom, CONSTANTS.k_B
     if trap.wall_model == "hard":
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
@@ -404,9 +402,8 @@ def propagate(
     return AtomEnsemble(pos, vel)
 
 
-def mechanical_energy(ensemble: AtomEnsemble, gravity: float,
-                      constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def mechanical_energy(ensemble: AtomEnsemble, gravity: float) -> np.ndarray:
     """Per-atom kinetic + m g y energy (J); hard-wall invariant."""
-    ke = 0.5 * constants.m_atom * np.sum(ensemble.velocities**2, axis=1)
-    pe = constants.m_atom * gravity * ensemble.positions[:, 1]
+    ke = 0.5 * CONSTANTS.m_atom * np.sum(ensemble.velocities**2, axis=1)
+    pe = CONSTANTS.m_atom * gravity * ensemble.positions[:, 1]
     return ke + pe

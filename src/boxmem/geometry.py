@@ -24,14 +24,13 @@ class RingPotential:
 
     ring_radius: float = 95e-6    # m
     wall_width: float = 20e-6     # m, 1/e^2 half-width of the annular intensity
-    peak_depth: float = 45e-6     # K
-    endcap_depth: float = 45e-6   # K
+    peak_depth: float = 45e-6     # K, also the soft end caps' depth
 
     def __post_init__(self):
         if self.ring_radius <= 0 or self.wall_width <= 0:
             raise ValueError("ring_radius and wall_width must be positive")
-        if self.peak_depth < 0 or self.endcap_depth < 0:
-            raise ValueError("depths must be non-negative")
+        if self.peak_depth < 0:
+            raise ValueError("peak_depth must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def axial_force(z, ring: RingPotential, half_length: float, k_B: float):
     d = s - half_length
     grad = np.where(
         inner,
-        ring.endcap_depth * np.exp(-2.0 * d**2 / ring.wall_width**2)
+        ring.peak_depth * np.exp(-2.0 * d**2 / ring.wall_width**2)
         * (-4.0 * d / ring.wall_width**2),
         0.0,
     ) * k_B

@@ -1,5 +1,6 @@
 """Differential light shift of the clock transition, compensation-beam
-optimization, and microscopic ensemble dephasing.
+optimization, and the microscopic dephasing of a given atom ensemble, from
+which the soft-wall width is calibrated.  Atomic data: ``CONSTANTS``.
 
 The trap light is treated in the far-detuned two-level (D2-only) limit, so
 the differential shift of the hyperfine clock transition is
@@ -21,12 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .ensemble import DEFAULT_DT, AtomEnsemble, propagate, sample_thermal_ensemble
 from .errors import CalibrationError, NearResonanceError
 from .geometry import RingPotential, TrapGeometry, potential_at
 
 GAMMA_D2 = 2.0 * math.pi * 6.0666e6  # rad/s, 87Rb D2 natural linewidth
+CALIBRATION_TEMPERATURE = 15e-6  # K, the paper's cloud
+CALIBRATION_MAX_ITER = 40  # bisections; the stop for an infinite bracket end
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,13 @@ class CompensationSpec:
             raise ValueError("trap_power must be non-negative")
 
 
-def trap_detuning(wavelength: float,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
+def trap_detuning(wavelength: float) -> float:
     """Angular detuning (rad/s) of the trap light from the D2 line."""
-    return 2.0 * math.pi * (constants.c / wavelength
-                            - constants.c / constants.lambda_D2)
+    return 2.0 * math.pi * (CONSTANTS.c / wavelength
+                            - CONSTANTS.c / CONSTANTS.lambda_D2)
 
 
-def differential_shift(U: float, constants: PhysicalConstants = CONSTANTS,
-                       detuning: float = trap_detuning(775e-9)):
+def differential_shift(U: float, detuning: float = trap_detuning(775e-9)):
     """Differential clock-transition shift (rad/s) for potential energy U (J).
 
     Linear in U; positive (|F=2> raised relative to |F=1>) inside
@@ -58,22 +59,21 @@ def differential_shift(U: float, constants: PhysicalConstants = CONSTANTS,
     """
     if detuning == 0:
         raise ValueError("detuning must be non-zero")
-    return (np.asarray(U, dtype=float) / constants.hbar) \
-        * (constants.omega_hf / detuning)
+    return (np.asarray(U, dtype=float) / CONSTANTS.hbar) \
+        * (CONSTANTS.omega_hf / detuning)
 
 
-def optimal_compensation_power(spec: CompensationSpec,
-                               constants: PhysicalConstants = CONSTANTS) -> float:
+def optimal_compensation_power(spec: CompensationSpec) -> float:
     """Compensation-beam power (W) that cancels the trap's differential shift,
     assuming identical spatial modes."""
-    delta = trap_detuning(spec.trap_wavelength, constants)
+    delta = trap_detuning(spec.trap_wavelength)
     if delta <= 0:
         raise ValueError("trap wavelength must be blue of the D2 line")
-    if spec.trap_wavelength > constants.lambda_D2 * 0.99 \
+    if spec.trap_wavelength > CONSTANTS.lambda_D2 * 0.99 \
             and abs(delta) < 10.0 * GAMMA_D2:
         raise NearResonanceError(
             "trap within 10 linewidths of the D2 line; far-detuned model invalid")
-    return spec.trap_power * (constants.omega_hf / (2.0 * delta)) ** 2
+    return spec.trap_power * (CONSTANTS.omega_hf / (2.0 * delta)) ** 2
 
 
 def residual_lifetime(tau_uncompensated: float, epsilon: float) -> float:
@@ -92,24 +92,20 @@ def residual_lifetime(tau_uncompensated: float, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class ShiftField:
-    """Transverse map r -> delta_omega(r) (rad/s) built from the ring
-    potential; ``epsilon`` scales it for compensated operation."""
+    """Transverse map r -> delta_omega(r) (rad/s) of the 775 nm ring light;
+    ``epsilon`` scales it for compensated operation."""
 
     ring: RingPotential
-    detuning: float = trap_detuning(775e-9)
     epsilon: float = 1.0
-    constants: PhysicalConstants = CONSTANTS
 
     def at_radius(self, rho):
-        U = potential_at(rho, self.ring) * self.constants.k_B
-        return self.epsilon * differential_shift(U, self.constants, self.detuning)
+        U = potential_at(rho, self.ring) * CONSTANTS.k_B
+        return self.epsilon * differential_shift(U)
 
     def at(self, xy):
+        """Shift at each row's (x, y); columns past y, such as z, are unread."""
         xy = np.asarray(xy, dtype=float)
         return self.at_radius(np.hypot(xy[..., 0], xy[..., 1]))
-
-    def with_epsilon(self, epsilon: float) -> "ShiftField":
-        return replace(self, epsilon=epsilon)
 
 
 def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
@@ -129,38 +125,29 @@ def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
 def simulate_coherence(
     field: ShiftField,
     trap: TrapGeometry,
-    n_atoms: int = 10_000,
-    temperature: float = 15e-6,
+    ensemble: AtomEnsemble,
     t_max: float = 3e-3,
     sample_dt: float = 2e-5,
     dt: float = DEFAULT_DT,
     gravity: float = CONSTANTS.g_earth,
-    seed: int = 0,
-    constants: PhysicalConstants = CONSTANTS,
-    ensemble: AtomEnsemble | None = None,
 ):
-    """Monte-Carlo dephasing curve C(t) of a thermal ensemble in the trap.
+    """Dephasing curve C(t) = |mean exp(i phi_1)| of the given ``ensemble``
+    in the trap, every ``sample_dt`` up to ``t_max``; returns (times, C).
 
     Accumulates the light-shift phase phi_1 with the trapezoidal rule one
     sample interval at a time as the atoms are propagated (memory
-    O(n_atoms)), so long storage times are cheap.  Returns (times, C).
+    O(n_atoms)), so long storage times are cheap; the ensemble is left alone.
     """
-    if ensemble is None:
-        ensemble = sample_thermal_ensemble(
-            n_atoms, trap, temperature, gravity=gravity, seed=seed,
-            constants=constants)
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
-    rho = np.hypot(ensemble.positions[:, 0], ensemble.positions[:, 1])
-    omega_prev = field.at_radius(rho)
+    omega_prev = field.at(ensemble.positions)
     coherence = np.empty(len(times))
     coherence[0] = 1.0
     current = ensemble
     for i in range(1, len(times)):
         current = propagate(current, times[i - 1], times[i], dt=dt, trap=trap,
-                            gravity=gravity, constants=constants)
-        rho = np.hypot(current.positions[:, 0], current.positions[:, 1])
-        omega = field.at_radius(rho)
+                            gravity=gravity)
+        omega = field.at(current.positions)
         phi += 0.5 * (omega + omega_prev) * (times[i] - times[i - 1])
         omega_prev = omega
         coherence[i] = np.abs(np.exp(1j * phi).mean())
@@ -170,25 +157,21 @@ def simulate_coherence(
 def calibrate_wall_width(
     target_tau: float,
     ring: RingPotential,
-    trap: TrapGeometry | None = None,
     n_atoms: int = 10_000,
-    temperature: float = 15e-6,
-    gravity: float = CONSTANTS.g_earth,
     seed: int = 0,
-    detuning: float = trap_detuning(775e-9),
-    constants: PhysicalConstants = CONSTANTS,
     bracket: tuple[float, float] = (5e-6, 60e-6),
     tol: float = 0.05,
-    max_iter: int = 40,
 ) -> float:
     """Wall width whose microscopic dephasing 1/e time equals ``target_tau``.
 
-    Bisection over ``bracket`` on the soft-walled trap built from the ring:
-    the trajectories themselves depend on the candidate width, so each
-    candidate re-runs the Monte-Carlo dephasing simulation (same seed, so
-    the search is deterministic).  Monotonicity (thicker wall -> longer
-    light exposure per bounce -> shorter tau) is verified at the bracket
-    endpoints before bisecting, not assumed.
+    Bisection over ``bracket`` on the soft-walled trap built from the ring
+    (default length, gravity on).  One thermal cloud of ``n_atoms`` at
+    CALIBRATION_TEMPERATURE is drawn from ``seed`` per call; the
+    trajectories themselves depend on the candidate width, so each
+    candidate folds that same cloud through its own trap, and the search is
+    deterministic.  Monotonicity (thicker wall -> longer light exposure per
+    bounce -> shorter tau) is verified at the bracket endpoints before
+    bisecting, not assumed.
 
     The attainable 1/e times form a staircase: coherent revival dips of
     C(t) make its 1/e crossing hop between dips as the width grows.  When
@@ -199,23 +182,21 @@ def calibrate_wall_width(
     if target_tau <= 0:
         raise ValueError("target_tau must be positive")
 
-    sigma_v = math.sqrt(constants.k_B * temperature / constants.m_atom) \
-        if temperature > 0 else 0.0
+    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    # the candidates change only the wall width, which sampling ignores
+    cloud = sample_thermal_ensemble(n_atoms, trap, CALIBRATION_TEMPERATURE,
+                                    seed=seed)
+    sigma_v = math.sqrt(CONSTANTS.k_B * CALIBRATION_TEMPERATURE
+                        / CONSTANTS.m_atom)
 
     def tau_of(width: float) -> float:
         cand_ring = replace(ring, wall_width=width)
-        cand_trap = TrapGeometry(
-            radius=cand_ring.ring_radius,
-            length=trap.length if trap is not None else 3e-3,
-            wall_model="soft", ring=cand_ring)
-        fld = ShiftField(cand_ring, detuning=detuning, constants=constants)
         # soft-wall substep stability: resolve the wall in >= ~12 steps
-        dt = min(DEFAULT_DT, 0.08 * width / (5.0 * sigma_v)) \
-            if sigma_v > 0 else DEFAULT_DT
+        dt = min(DEFAULT_DT, 0.08 * width / (5.0 * sigma_v))
         times, c = simulate_coherence(
-            fld, cand_trap, n_atoms=n_atoms, temperature=temperature,
+            ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
             t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0),
-            dt=dt, gravity=gravity, seed=seed, constants=constants)
+            dt=dt)
         return one_over_e_time(times, c)
 
     lo, hi = bracket
@@ -232,7 +213,7 @@ def calibrate_wall_width(
     best_width, best_err = hi, abs(tau_hi - target_tau)
     if abs(tau_lo - target_tau) < best_err:
         best_width, best_err = lo, abs(tau_lo - target_tau)
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         if hi - lo < 0.2e-6:
             break
         mid = 0.5 * (lo + hi)

@@ -24,14 +24,17 @@ from .ensemble import propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
 from .geometry import RingPotential, TrapGeometry
 from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
-                       assign_excitation, collinear_delta_k, curve_column,
-                       density_estimate, efficiency_total, mode_overlap)
+                       assign_excitation, curve_column, density_estimate,
+                       efficiency_total, mode_overlap)
 
 CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
 MAX_WORKERS = 64  # KDE threads; a larger count is taken for a typo
 # a run holds about 300 bytes per atom, so 10^7 atoms need about 3 GB; a
 # larger count is taken for a typo rather than left to fail in allocation
 MAX_ATOMS = 10_000_000
+# cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 2 (1 +
+# n_bootstrap) grids at once; a finer grid is taken for a typo
+MAX_GRID_RESOLUTION = 2048
 
 
 def _si(default, file_unit):
@@ -95,8 +98,11 @@ class ScenarioConfig:
             ("loss_tau_fast", self.loss_tau_fast > 0, "must be positive"),
             ("loss_tau_slow", self.loss_tau_slow > 0, "must be positive"),
             ("grid_extent", self.grid_extent > 0, "must be positive"),
-            ("grid_resolution", self.grid_resolution >= 8, "must be >= 8"),
-            ("kde_bandwidth", self.kde_bandwidth > 0, "must be positive"),
+            ("grid_resolution",
+             8 <= self.grid_resolution <= MAX_GRID_RESOLUTION,
+             f"must lie in [8, {MAX_GRID_RESOLUTION}]"),
+            ("kde_bandwidth", 0 < self.kde_bandwidth < self.grid_extent,
+             "must be positive and below grid_extent"),
             ("dt", self.dt > 0, "must be positive"),
             ("seed", 0 <= self.seed <= 2**64 - 1,
              "must lie in [0, 2**64 - 1]"),
@@ -110,8 +116,7 @@ class ScenarioConfig:
     def trap(self) -> TrapGeometry:
         ring = RingPotential(ring_radius=self.trap_radius,
                              wall_width=self.wall_width,
-                             peak_depth=self.trap_depth,
-                             endcap_depth=self.trap_depth)
+                             peak_depth=self.trap_depth)
         return TrapGeometry(radius=self.trap_radius, length=self.trap_length,
                             wall_model=self.wall_model, ring=ring)
 
@@ -180,8 +185,7 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     ens = sample_thermal_ensemble(
         config.atoms, trap, config.temperature, gravity=gravity,
         seed=config.seed, spatial=config.spatial)
-    record = assign_excitation(ens.positions, config.signal_mode(),
-                               delta_k=collinear_delta_k())
+    record = assign_excitation(ens.positions, config.signal_mode())
 
     rng = np.random.Generator(np.random.Philox(
         key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import EmptyModeError, GridCoverageError
+
+MAX_OUTSIDE = 0.01  # share of the excitation weight allowed off the grid
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,6 @@ class SpinWaveRecord:
         self.weights = np.asarray(self.weights, dtype=float)
         self.delta_k = np.asarray(self.delta_k, dtype=float)
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.weights)
-
-    def effective_atom_number(self) -> float:
-        """Participation number 1 / sum(w^4) of the normalized weights."""
-        return 1.0 / float(np.sum(self.weights**4))
-
 
 def spinwave_wavevector(write_k, signal_k):
     """delta_k = write_k - signal_k and the spin-wave wavelength 2 pi/|delta_k|.
@@ -73,15 +67,14 @@ def spinwave_wavevector(write_k, signal_k):
     return delta_k, wavelength
 
 
-def collinear_delta_k(constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def collinear_delta_k() -> np.ndarray:
     """delta_k for collinear beams split by the clock frequency (along z)."""
-    return np.array([0.0, 0.0, 2.0 * math.pi * constants.nu_hf / constants.c])
+    return np.array([0.0, 0.0, 2.0 * math.pi * CONSTANTS.nu_hf / CONSTANTS.c])
 
 
-def assign_excitation(positions: np.ndarray, signal: ModeSpec,
-                      delta_k: np.ndarray | None = None) -> SpinWaveRecord:
+def assign_excitation(positions: np.ndarray, signal: ModeSpec) -> SpinWaveRecord:
     """Create the spin wave: raw weight exp(-|r_perp - center|^2 / w0^2)
-    from the signal mode, then normalized.
+    from the signal mode, then normalized, with the collinear delta_k.
 
     The much larger write mode (275 um waist) varies by < 6% over the
     signal waist, so it is treated as uniform and takes no argument.
@@ -95,9 +88,7 @@ def assign_excitation(positions: np.ndarray, signal: ModeSpec,
     if np.max(raw) < 1e-30:
         raise EmptyModeError("signal mode does not overlap the atomic cloud")
     weights = raw / np.sqrt(np.sum(raw**2))
-    if delta_k is None:
-        delta_k = collinear_delta_k()
-    return SpinWaveRecord(weights, delta_k)
+    return SpinWaveRecord(weights, collinear_delta_k())
 
 
 @dataclass
@@ -136,8 +127,7 @@ class DensityGrid:
 
 def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
                      extent: float = 150e-6, resolution: int = 128,
-                     bandwidth: float = 10e-6,
-                     max_outside: float = 0.01) -> DensityGrid:
+                     bandwidth: float = 10e-6) -> DensityGrid:
     """Kernel density estimate of the w^2 distribution on a square grid.
 
     Cloud-in-cell deposition followed by an isotropic Gaussian blur of
@@ -155,10 +145,10 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
 
     inside = (np.abs(positions_xy[:, 0]) < extent) \
         & (np.abs(positions_xy[:, 1]) < extent)
-    if float(np.sum(mass[~inside])) > max_outside * total:
+    if float(np.sum(mass[~inside])) > MAX_OUTSIDE * total:
         raise GridCoverageError(
             "more than {:.0%} of the excitation weight lies outside the grid"
-            .format(max_outside))
+            .format(MAX_OUTSIDE))
 
     cell = 2.0 * extent / resolution
     # fractional index of the lower-left neighboring cell center

@@ -154,7 +154,7 @@ def test_criterion_04_gravity_ablation(capsys):
 
 def test_criterion_05_compensation_power(capsys):
     p = optimal_compensation_power(
-        CompensationSpec(trap_power=1.9, trap_wavelength=775e-9), CONSTANTS)
+        CompensationSpec(trap_power=1.9, trap_wavelength=775e-9))
     ok = 2.5e-6 <= p <= 4.6e-6
     report(capsys, 5, "compensation-beam power", ok,
            f"{p * 1e6:.3f} uW in [2.5, 4.6] uW")
@@ -181,8 +181,9 @@ def _soft_tau(width, n_atoms=10_000, seed=0):
     field = ShiftField(ring)
     sigma_v = math.sqrt(CONSTANTS.k_B * 15e-6 / CONSTANTS.m_atom)
     dt = min(5e-6, 0.08 * width / (5.0 * sigma_v))
-    times, c = simulate_coherence(field, trap, n_atoms=n_atoms,
-                                  t_max=3e-3, sample_dt=2e-5, dt=dt, seed=seed)
+    ens = sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
+    times, c = simulate_coherence(field, trap, ens, t_max=3e-3,
+                                  sample_dt=2e-5, dt=dt)
     return one_over_e_time(times, c)
 
 
@@ -302,7 +303,9 @@ def test_criterion_10_invariant_suite(capsys):
 
     # dephasing coherence: C(0) = 1 and 0 <= C <= 1
     field = ShiftField(ring)
-    _, c = simulate_coherence(field, soft, n_atoms=500, t_max=1e-3, seed=4)
+    _, c = simulate_coherence(
+        field, soft, sample_thermal_ensemble(500, soft, 15e-6, seed=4),
+        t_max=1e-3)
     checks["coherence-bounds"] = (c[0] == 1.0
                                   and bool(np.all((c >= 0) & (c <= 1 + 1e-12))))
 

@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boxmem
 from boxmem.cli import main
 from boxmem.pipeline import read_curve_csv, write_curve_csv
 from boxmem.render import axis_mapping
@@ -46,6 +51,19 @@ def test_simulate_config_file(tmp_path):
     assert len(read_curve_csv(str(out)).times) == 3
 
 
+def test_import_leaves_scipy_optimize_out():
+    # every run, and the benchmark's set-up probe, pays for what the
+    # package imports: scipy.optimize alone adds about 22 MB of RSS
+    src = str(Path(boxmem.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, boxmem; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[scenario]\natoms = 0\n")
@@ -62,6 +80,7 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5",
     "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan",
     "t_start_ms = 0\nt_stop_ms = 1e9\nt_step_ms = 1e-3",
+    "grid_resolution = 1000000", "kde_bandwidth_um = 1e9",
 ])
 def test_simulate_bad_config_key_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "s.cfg"

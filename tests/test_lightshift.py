@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxmem import lightshift
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.errors import CalibrationError, NearResonanceError
@@ -82,7 +83,7 @@ def test_shift_field_epsilon_scaling():
     field = ShiftField(RingPotential())
     rho = np.linspace(0.0, 120e-6, 50)
     full = field.at_radius(rho)
-    tenth = field.with_epsilon(0.1).at_radius(rho)
+    tenth = ShiftField(RingPotential(), epsilon=0.1).at_radius(rho)
     assert np.allclose(tenth, 0.1 * full, rtol=1e-12)
 
 
@@ -90,8 +91,8 @@ def test_coherence_starts_at_one_and_bounded():
     ring = RingPotential()
     trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
     field = ShiftField(ring)
-    times, c = simulate_coherence(field, trap, n_atoms=500, t_max=1.5e-3,
-                                  seed=1)
+    ens = sample_thermal_ensemble(500, trap, 15e-6, seed=1)
+    times, c = simulate_coherence(field, trap, ens, t_max=1.5e-3)
     assert c[0] == 1.0
     assert np.all((c >= 0.0) & (c <= 1.0 + 1e-12))
     assert one_over_e_time(times, c) < 1.5e-3   # dephases within the window
@@ -110,8 +111,8 @@ def test_frozen_ensemble_lifetime_scales_inversely_with_epsilon():
     for eps in (1.0, 0.1, 0.01):
         t_max = 3e-3 / eps
         times, c = simulate_coherence(
-            field.with_epsilon(eps), trap, t_max=t_max, sample_dt=t_max / 399,
-            gravity=0.0, ensemble=ens)
+            ShiftField(ring, epsilon=eps), trap, ens, t_max=t_max,
+            sample_dt=t_max / 399, gravity=0.0)
         for i in (1, 150, 399):
             expected = np.abs(np.exp(1j * eps * omega * times[i]).mean())
             assert c[i] == pytest.approx(expected, abs=1e-9)
@@ -134,7 +135,16 @@ def test_calibration_rejects_bad_target():
         calibrate_wall_width(-1.0, RingPotential())
 
 
-def test_calibration_unreachable_target_reported():
+def test_calibration_unreachable_target_reported(monkeypatch):
+    # every candidate trap has the same radius, so one cloud serves them all
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample_thermal_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(lightshift, "sample_thermal_ensemble", counted)
     with pytest.raises(CalibrationError):
         calibrate_wall_width(10e-3, RingPotential(), n_atoms=200,
                              bracket=(30e-6, 50e-6))
+    assert len(draws) == 1
