@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="scenario file ([scenario] key=value)")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--atoms", type=int)
-    sim.add_argument("--workers", type=int)
+    sim.add_argument("--workers", type=int,
+                     help="accepted and validated, but has no effect")
     sim.add_argument("--out", default="curve.csv")
 
     fit = sub.add_parser("fit", help="fit a decay model to a curve CSV")

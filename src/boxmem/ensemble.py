@@ -198,7 +198,11 @@ def _first_root(coef, horizon):
     v = np.fmin(np.fmax(vertex[rows], a), b)    # where P'' is least
     curv = np.maximum(q0[rows] + (q1[rows] + q2[rows] * v) * v, 0.0)
     disc = dfb * dfb - 2.0 * curv * fb
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the convex start overflows to -inf or +inf only on pieces that hold
+    # no root: where P(a) < 0 <= P(b), P'(b) >= (P(b) - P(a)) / (b - a)
+    # keeps the step within 2 (b - a), an infinite start fails x >= a, and
+    # fb < 0 is no task
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where(convex, b - 2.0 * fb / (dfb + np.sqrt(
             np.maximum(disc, 0.0))), a)
     certain = np.where(convex, fa < 0, fb >= 0)
@@ -215,7 +219,9 @@ def _first_root(coef, horizon):
         x, a, b, tol = x[ok], a[ok], b[ok], tol[ok]
         convex, certain, cr = convex[ok], certain[ok], cr[:, ok]
         f, df = _poly(cr, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a step overflows only where no root is certain (where one is,
+        # it stays within the piece), and -inf or +inf leaves the piece
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_next = np.where(df > 0, x - f / df, x)
         # P' <= 0 where a root is certain: a double root, to rounding
         at_root = np.where(convex, f <= 0, f >= 0) | (df <= 0) & certain

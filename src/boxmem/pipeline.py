@@ -6,15 +6,14 @@ transverse mode on a grid at each, and composes the overlap with dephasing
 and atom-loss factors into a normalized efficiency curve (CSV rows).
 
 Strict determinism: a (config, seed) pair fixes every output byte.  Random
-streams are counter-based (Philox) and keyed by the master seed; parallel
-evaluation (``workers`` > 1) is over the density grids of one storage time
-(the base weights and each bootstrap replica) with results kept in replica
-order, so the worker count never changes the output.
+streams are counter-based (Philox) and keyed by the master seed.  The density
+grids of one storage time (the base weights and each bootstrap replica) are
+deposited from one cloud-in-cell stencil and blurred in one call, in the
+calling thread.
 """
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -28,12 +27,13 @@ from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
                        efficiency_total, mode_overlap)
 
 CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
-MAX_WORKERS = 64  # KDE threads; a larger count is taken for a typo
+MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
 # a run holds about 300 bytes per atom, so 10^7 atoms need about 3 GB; a
 # larger count is taken for a typo rather than left to fail in allocation
 MAX_ATOMS = 10_000_000
 # cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 2 (1 +
-# n_bootstrap) grids at once; a finer grid is taken for a typo
+# n_bootstrap) grids at once, the first sample's and the current one's; a
+# finer grid is taken for a typo
 MAX_GRID_RESOLUTION = 2048
 
 
@@ -70,7 +70,7 @@ class ScenarioConfig:
     kde_bandwidth: float = _si(10e-6, "um")
     dt: float = _si(5e-6, "us")         # soft-wall sub-step and step guard
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                    # no effect: the KDE runs in one thread
 
     def validate(self):
         for f in fields(self):
@@ -175,8 +175,10 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
 
     ``n_bootstrap`` > 0 additionally estimates the per-time Monte-Carlo
     standard error of the overlap by resampling atoms with replacement;
-    every replica is folded over the same pass.  With ``config.workers``
-    > 1 that many threads build the density grids of one sample time.
+    every replica is folded over the same pass, as the base ensemble
+    weighted by how often the replica drew each atom, so all grids of one
+    sample time share one deposit stencil and one blur.  The base curve
+    does not depend on ``n_bootstrap``.
     """
     config.validate()
     trap = config.trap()
@@ -189,38 +191,34 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
 
     rng = np.random.Generator(np.random.Philox(
         key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))
-    picks = [slice(None)] + [rng.integers(0, config.atoms, size=config.atoms)
-                             for _ in range(n_bootstrap)]
-    weights = [record.weights[idx] for idx in picks]
+    # replica b draws atoms with replacement; it is kept only as how often
+    # it drew each atom, the bootstrap multiplicities density_estimate takes
+    counts = np.empty((n_bootstrap, config.atoms))
+    for row in counts:
+        row[:] = np.bincount(rng.integers(0, config.atoms, size=config.atoms),
+                             minlength=config.atoms)
     w2 = record.weights**2
 
-    def grid(xy, w):
-        return density_estimate(w, xy, extent=config.grid_extent,
-                                resolution=config.grid_resolution,
-                                bandwidth=config.kde_bandwidth)
-
     times = np.asarray(config.times, dtype=float)
-    overlap = np.empty((len(picks), len(times)))
+    overlap = np.empty((1 + n_bootstrap, len(times)))
     phi2_coh = np.empty(len(times))
     current, t = ens, 0.0
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        # one worker runs in the calling thread: handing each grid to a
-        # pool thread only adds thread wake-ups and a second malloc arena
-        mapper = pool.map if config.workers > 1 else map
-        for i, ti in enumerate(times):
-            if ti > t:
-                current = propagate(current, t, ti, dt=config.dt, trap=trap,
-                                    gravity=gravity)
-                t = ti
-            positions = current.positions
-            grids = list(mapper(
-                grid, [positions[idx, :2] for idx in picks], weights))
-            if i == 0:
-                first, origin = grids, positions
-            overlap[:, i] = [mode_overlap(u0, g)
-                             for u0, g in zip(first, grids)]
-            phi2 = (positions - origin) @ record.delta_k
-            phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
+    for i, ti in enumerate(times):
+        if ti > t:
+            current = propagate(current, t, ti, dt=config.dt, trap=trap,
+                                gravity=gravity)
+            t = ti
+        positions = current.positions
+        grids = density_estimate(record.weights, positions[:, :2],
+                                 extent=config.grid_extent,
+                                 resolution=config.grid_resolution,
+                                 bandwidth=config.kde_bandwidth, counts=counts)
+        if i == 0:
+            first, origin = grids, positions
+        overlap[:, i] = [mode_overlap(u0, g) for u0, g in zip(first, grids)]
+        phi2 = (positions - origin) @ record.delta_k
+        phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
+        del grids       # the next sample's grids replace, not join, these
 
     curve = efficiency_total(
         times, overlap[0], tau_dephase=config.tau_dephase,

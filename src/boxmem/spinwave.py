@@ -125,14 +125,32 @@ class DensityGrid:
                 float(np.sum((c - my) ** 2 * py) / np.sum(py)))
 
 
+def _cic_axis(u, extent, cell, resolution):
+    """Cloud-in-cell stencil along one axis: the indices of the two cell
+    centres around each coordinate u, lower first and clipped to the grid,
+    and the weights of each, shape (2, len(u))."""
+    f = (u + extent) / cell - 0.5
+    i = np.floor(f).astype(np.int64)
+    t = f - i
+    return (np.clip(i + np.array([[0], [1]]), 0, resolution - 1),
+            np.stack((1.0 - t, t)))
+
+
 def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
                      extent: float = 150e-6, resolution: int = 128,
-                     bandwidth: float = 10e-6) -> DensityGrid:
+                     bandwidth: float = 10e-6, counts: np.ndarray | None = None
+                     ) -> DensityGrid | list[DensityGrid]:
     """Kernel density estimate of the w^2 distribution on a square grid.
 
     Cloud-in-cell deposition followed by an isotropic Gaussian blur of
     standard deviation ``bandwidth`` (zero-padded boundaries), then
     normalization to unit integral.  Deterministic for fixed inputs.
+
+    ``counts`` (B, n) are bootstrap multiplicities: a replica that draws
+    atom i k_i times is the same ensemble with mass k_i w_i^2.  With them
+    the result is the list [base grid, replica 1, ..., replica B], all
+    deposited from one stencil and blurred in one call; each replica's
+    grid coverage is checked on its own mass.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -140,37 +158,46 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     positions_xy = np.asarray(positions_xy, dtype=float)
     mass = weights**2
     total = float(np.sum(mass))
-    if total <= 0:
+    reps = np.empty((0, len(mass))) if counts is None else counts
+    totals = reps @ mass
+    if total <= 0 or np.any(totals <= 0):
         raise ValueError("total weight must be positive")
 
     inside = (np.abs(positions_xy[:, 0]) < extent) \
         & (np.abs(positions_xy[:, 1]) < extent)
-    if float(np.sum(mass[~inside])) > MAX_OUTSIDE * total:
+    if (float(np.sum(mass[~inside])) > MAX_OUTSIDE * total
+            or np.any(reps @ np.where(inside, 0.0, mass)
+                      > MAX_OUTSIDE * totals)):
         raise GridCoverageError(
             "more than {:.0%} of the excitation weight lies outside the grid"
             .format(MAX_OUTSIDE))
 
     cell = 2.0 * extent / resolution
-    # fractional index of the lower-left neighboring cell center
-    fx = (positions_xy[inside, 0] + extent) / cell - 0.5
-    fy = (positions_xy[inside, 1] + extent) / cell - 0.5
-    ix = np.floor(fx).astype(np.int64)
-    iy = np.floor(fy).astype(np.int64)
-    tx = fx - ix
-    ty = fy - iy
+    gx, wx = _cic_axis(positions_xy[inside, 0], extent, cell, resolution)
+    gy, wy = _cic_axis(positions_xy[inside, 1], extent, cell, resolution)
+    # the four corners in the order 00, 01, 10, 11 as one flat cell index,
+    # so one bincount sums in the order of four sequential np.add.at calls
+    flat = (gx[:, None] * resolution + gy[None]).ravel()
+    del gx, gy      # freed before the per-grid buffers: lowers peak memory
 
-    grid = np.zeros((resolution, resolution))
     m = mass[inside]
-    for dx, wx in ((0, 1.0 - tx), (1, tx)):
-        for dy, wy in ((0, 1.0 - ty), (1, ty)):
-            gx = np.clip(ix + dx, 0, resolution - 1)
-            gy = np.clip(iy + dy, 0, resolution - 1)
-            np.add.at(grid, (gx, gy), m * wx * wy)
+    stack = np.empty((1 + len(reps), resolution, resolution))
+    corner = np.empty((2, 2, len(m)))
+    for b, grid in enumerate(stack):
+        # (m * wx) * wy, the product order of the per-corner deposit
+        np.multiply(m if b == 0 else reps[b - 1, inside] * m, wx[:, None],
+                    out=corner)
+        corner *= wy
+        grid[...] = np.bincount(flat, weights=corner.ravel(),
+                                minlength=grid.size).reshape(grid.shape)
 
-    grid = gaussian_filter(grid, sigma=bandwidth / cell, mode="constant",
-                           truncate=8.0)
-    grid /= grid.sum() * cell * cell
-    return DensityGrid(extent, resolution, grid)
+    gaussian_filter(stack, sigma=(0.0, bandwidth / cell, bandwidth / cell),
+                    mode="constant", truncate=8.0, output=stack)
+    grids = []
+    for grid in stack:
+        grid /= grid.sum() * cell * cell
+        grids.append(DensityGrid(extent, resolution, grid))
+    return grids[0] if counts is None else grids
 
 
 def mode_overlap(u0: DensityGrid, ut: DensityGrid) -> float:

@@ -104,6 +104,12 @@ def test_byte_identical_reruns():
     assert a != c
 
 
+def test_bootstrap_leaves_the_base_curve_alone():
+    a = curve_to_csv(run_scenario(small_config(), n_bootstrap=0).curve)
+    b = curve_to_csv(run_scenario(small_config(), n_bootstrap=3).curve)
+    assert a == b
+
+
 def test_worker_count_does_not_change_output():
     a = curve_to_csv(run_scenario(small_config(workers=1)).curve)
     b = curve_to_csv(run_scenario(small_config(workers=4)).curve)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import AtomEnsemble
@@ -85,6 +86,81 @@ def test_grid_coverage_guard():
     w = np.array([0.1, 1.0])
     with pytest.raises(GridCoverageError):
         density_estimate(w, pos, extent=150e-6)
+
+
+def _density_estimate_add_at(weights, positions_xy, extent=150e-6,
+                             resolution=128, bandwidth=10e-6):
+    """Reference for density_estimate: one grid, its cloud-in-cell
+    deposit made by four sequential np.add.at calls, one per corner."""
+    mass = weights**2
+    inside = (np.abs(positions_xy[:, 0]) < extent) \
+        & (np.abs(positions_xy[:, 1]) < extent)
+    cell = 2.0 * extent / resolution
+    fx = (positions_xy[inside, 0] + extent) / cell - 0.5
+    fy = (positions_xy[inside, 1] + extent) / cell - 0.5
+    ix = np.floor(fx).astype(np.int64)
+    iy = np.floor(fy).astype(np.int64)
+    tx = fx - ix
+    ty = fy - iy
+    grid = np.zeros((resolution, resolution))
+    m = mass[inside]
+    for dx, wx in ((0, 1.0 - tx), (1, tx)):
+        for dy, wy in ((0, 1.0 - ty), (1, ty)):
+            gx = np.clip(ix + dx, 0, resolution - 1)
+            gy = np.clip(iy + dy, 0, resolution - 1)
+            np.add.at(grid, (gx, gy), m * wx * wy)
+    grid = gaussian_filter(grid, sigma=bandwidth / cell, mode="constant",
+                           truncate=8.0)
+    return grid / (grid.sum() * cell * cell)
+
+
+def _tagged_cloud(n, seed):
+    """n atoms of a cloud wider than the grid, tagged by the signal mode."""
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(scale=70e-6, size=(n, 2))
+    return assign_excitation(pos, ModeSpec()).weights, pos
+
+
+@pytest.mark.parametrize("n", [1, 1000, 100_000])
+@pytest.mark.parametrize("resolution", [64, 128, 200])
+def test_density_matches_add_at_deposit(n, resolution):
+    w, pos = _tagged_cloud(n, seed=n + resolution)
+    grid = density_estimate(w, pos, resolution=resolution)
+    want = _density_estimate_add_at(w, pos, resolution=resolution)
+    assert np.array_equal(grid.values, want)
+    counts = np.random.default_rng(5).integers(0, 3, size=(2, n))
+    counts[:, 0] = 1                        # no replica is empty
+    grids = density_estimate(w, pos, resolution=resolution, counts=counts)
+    assert len(grids) == 3
+    assert np.array_equal(grids[0].values, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replica_counts_match_gathered_replica(seed):
+    w, pos = _tagged_cloud(20_000, seed)
+    rng = np.random.default_rng(seed)
+    picks = [rng.integers(0, len(w), size=len(w)) for _ in range(4)]
+    counts = np.array([np.bincount(idx, minlength=len(w)) for idx in picks])
+    grids = density_estimate(w, pos, counts=counts)
+    for idx, got in zip(picks, grids[1:]):
+        want = density_estimate(w[idx], pos[idx]).values
+        assert np.max(np.abs(got.values - want)) <= 1e-15 * want.max()
+    # a replica that draws every atom once is the base ensemble, bit for bit
+    once = density_estimate(w, pos, counts=np.ones((1, len(w))))
+    assert np.array_equal(once[1].values, once[0].values)
+
+
+def test_replica_coverage_is_checked_on_its_own_mass():
+    # one atom of 200 off the grid: 0.5 % of the base weight, but 5 / 204
+    # of a replica that draws it five times
+    pos = np.zeros((200, 2))
+    pos[0] = [200e-6, 0.0]
+    w = np.full(200, 200**-0.5)
+    density_estimate(w, pos)
+    counts = np.ones((1, 200))
+    counts[0, 0] = 5
+    with pytest.raises(GridCoverageError):
+        density_estimate(w, pos, counts=counts)
 
 
 def test_overlap_identity_and_symmetry():
