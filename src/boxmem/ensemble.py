@@ -13,8 +13,8 @@ in time.  That root is solved for all atoms at once: the closed-form roots
 of the quartic's second derivative, a parabola, cut the flight into at most
 three pieces of one curvature sign each, and on each piece Newton's method
 converges monotonically from a side where it cannot pass a root.  Soft
-walls and soft end caps are integrated with velocity-Verlet sub-steps, the
-transverse and the axial motion apart.
+walls and soft end caps are integrated with velocity-Verlet sub-steps in
+place, on contiguous copies of the transverse (2, n) and the axial state.
 
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
@@ -321,25 +321,26 @@ def _fly_hard(pos, vel, interval, radius, g):
 
 def _verlet(pos, vel, accel, interval, dt):
     """Velocity-Verlet under ``accel(pos)`` over ``interval`` in sub-steps
-    of at most ``dt``; returns the new (pos, vel).  Each step's end-of-step
-    acceleration is the next step's start, so it is evaluated once."""
+    of at most ``dt``, in place on the arrays ``pos`` and ``vel``.  Each
+    step's end-of-step acceleration is the next step's start, so it is
+    evaluated once; one scratch array takes each kick and drift."""
     acc = accel(pos)
+    scratch = np.empty_like(vel)
     remaining = interval
     while remaining > 1e-18:
         step = min(dt, remaining)
         remaining -= step
-        half_vel = vel + 0.5 * step * acc
-        pos = pos + step * half_vel
+        vel += np.multiply(acc, 0.5 * step, out=scratch)
+        pos += np.multiply(vel, step, out=scratch)
         acc = accel(pos)
-        vel = half_vel + 0.5 * step * acc
-    return pos, vel
+        vel += np.multiply(acc, 0.5 * step, out=scratch)
 
 
 def _check_substep(ensemble, dt, trap):
-    v = ensemble.velocities
+    v = np.ascontiguousarray(ensemble.velocities.T)  # (3, n): contiguous rows
     if v.size == 0:
         return
-    v3 = max(3.0 * float(np.max(np.std(v, axis=0))),
+    v3 = max(3.0 * float(np.max(np.std(v, axis=1))),
              float(np.max(np.abs(v))))
     if v3 <= 0:
         return
@@ -368,11 +369,11 @@ def propagate(
     and event-driven: each atom flies its free-fall parabola from one wall
     hit to the next (the first root of the quartic rho(t)^2 = R^2), and hard
     end caps fold the axial motion analytically.  Soft walls and soft end
-    caps integrate -grad U with velocity-Verlet in sub-steps of ``dt``
-    (transverse and axial separately); where both are hard, ``dt`` only
-    enters the step guard.  Returns a new ensemble and leaves the input
-    alone, so a consumer calls it once per sample interval and folds over
-    the states it returns; no trajectory is stored.
+    caps integrate -grad U with velocity-Verlet in sub-steps of ``dt``, in
+    place on contiguous (2, n) transverse and (n,) axial copies; where both
+    are hard, ``dt`` only enters the step guard.  Returns a new ensemble and
+    leaves the input alone, so a consumer calls it once per sample interval
+    and folds over the states it returns; no trajectory is stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
@@ -392,19 +393,26 @@ def propagate(
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
         def transverse(xy):
-            acc = transverse_force(xy, trap.ring, k_B) / m
-            acc[:, 1] -= gravity
+            acc = transverse_force(xy.T, trap.ring, k_B).T
+            acc /= m
+            acc[1] -= gravity
             return acc
 
-        pos[:, :2], vel[:, :2] = _verlet(pos[:, :2], vel[:, :2], transverse,
-                                         interval, dt)
+        xy, vxy = pos[:, :2].T.copy(), vel[:, :2].T.copy()
+        _verlet(xy, vxy, transverse, interval, dt)
+        pos[:, :2], vel[:, :2] = xy.T, vxy.T
     if trap.endcap_model == "hard":
         pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
                                            vel[:, 2], half)
     else:
-        pos[:, 2], vel[:, 2] = _verlet(
-            pos[:, 2], vel[:, 2],
-            lambda z: axial_force(z, trap.ring, half, k_B) / m, interval, dt)
+        def axial(z):
+            acc = axial_force(z, trap.ring, half, k_B)
+            acc /= m
+            return acc
+
+        z, vz = pos[:, 2].copy(), vel[:, 2].copy()
+        _verlet(z, vz, axial, interval, dt)
+        pos[:, 2], vel[:, 2] = z, vz
     return AtomEnsemble(pos, vel)
 
 

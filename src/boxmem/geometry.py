@@ -65,40 +65,47 @@ def potential_at(radius, ring: RingPotential):
     return np.where(rho >= ring.ring_radius, ring.peak_depth, u)
 
 
-def potential_gradient(radius, ring: RingPotential):
-    """dU/drho (K/m) at transverse radius.  Zero in the clamped region."""
-    rho = np.abs(np.asarray(radius, dtype=float))
-    inner = rho < ring.ring_radius
-    d = rho - ring.ring_radius
-    grad = np.where(
-        inner,
-        ring.peak_depth * np.exp(-2.0 * d**2 / ring.wall_width**2)
-        * (-4.0 * d / ring.wall_width**2),
-        0.0,
-    )
+def _flank_gradient(s, edge, ring: RingPotential):
+    """dU/ds (K/m) at s >= 0 of a flank peaking at ``edge``: P exp(-2 d^2 /
+    w^2) (-4 d / w^2) with d = s - edge, 0 where s is not below ``edge``.
+    In place, in that order, so the bits match the allocating expression."""
+    d = np.subtract(s, edge, out=np.empty(np.shape(s)))
+    grad = np.square(d, out=np.empty_like(d))
+    grad *= -2.0
+    grad /= ring.wall_width**2
+    np.exp(grad, out=grad)
+    grad *= ring.peak_depth
+    d *= -4.0
+    d /= ring.wall_width**2
+    grad *= d
+    np.putmask(grad, ~(s < edge), 0.0)      # also where s is NaN
     return grad
 
 
+def potential_gradient(radius, ring: RingPotential):
+    """dU/drho (K/m) at transverse radius.  Zero in the clamped region."""
+    return _flank_gradient(np.abs(np.asarray(radius, dtype=float)),
+                           ring.ring_radius, ring)
+
+
 def transverse_force(xy, ring: RingPotential, k_B: float):
-    """Force (N) per transverse axis from the ring potential, shape (n, 2)."""
+    """Force (N) per transverse axis from the ring potential, shape (..., 2),
+    and an exact 0 on the axis.  The result has the memory layout of ``xy``,
+    so the transpose of a contiguous (2, n) array gives one back."""
     xy = np.asarray(xy, dtype=float)
-    rho = np.hypot(xy[..., 0], xy[..., 1])
-    grad = potential_gradient(rho, ring) * k_B           # J/m
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(rho[..., None] > 0, xy / np.maximum(rho, 1e-300)[..., None], 0.0)
-    return -grad[..., None] * unit
+    rho = np.hypot(xy[..., 0], xy[..., 1], out=np.empty(xy.shape[:-1]))
+    grad = _flank_gradient(rho, ring.ring_radius, ring)
+    grad *= -k_B                    # J/m; -(g k_B), as rounding is symmetric
+    np.maximum(rho, 1e-300, out=rho)
+    force = np.divide(xy, rho[..., None], out=np.empty_like(xy))
+    force *= grad[..., None]
+    return force
 
 
 def axial_force(z, ring: RingPotential, half_length: float, k_B: float):
     """Force (N) along z from soft end-cap sheets (same flank width as the ring)."""
     z = np.asarray(z, dtype=float)
-    s = np.abs(z)
-    inner = s < half_length
-    d = s - half_length
-    grad = np.where(
-        inner,
-        ring.peak_depth * np.exp(-2.0 * d**2 / ring.wall_width**2)
-        * (-4.0 * d / ring.wall_width**2),
-        0.0,
-    ) * k_B
-    return -grad * np.sign(z)
+    grad = _flank_gradient(np.abs(z), half_length, ring)
+    grad *= -k_B
+    grad *= np.sign(z)
+    return grad
