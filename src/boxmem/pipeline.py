@@ -8,8 +8,9 @@ and atom-loss factors into a normalized efficiency curve (CSV rows).
 Strict determinism: a (config, seed) pair fixes every output byte.  Random
 streams are counter-based (Philox) and keyed by the master seed.  The density
 grids of one storage time (the base weights and each bootstrap replica) are
-deposited from one cloud-in-cell stencil and blurred in one call, in the
-calling thread.
+deposited from one cloud-in-cell stencil and blurred by two BLAS matrix
+products each, in the calling thread.  The grids' last bits follow the BLAS
+kernel but not its thread count.
 """
 
 import io
@@ -31,9 +32,10 @@ MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
 # a run holds about 300 bytes per atom, so 10^7 atoms need about 3 GB; a
 # larger count is taken for a typo rather than left to fail in allocation
 MAX_ATOMS = 10_000_000
-# cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 2 (1 +
-# n_bootstrap) grids at once, the first sample's and the current one's; a
-# finer grid is taken for a typo
+# cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 3 (1 +
+# n_bootstrap) grids at once (the first sample's, their square roots and the
+# current sample's) plus the blur matrix and two scratch grids; a finer grid
+# is taken for a typo
 MAX_GRID_RESOLUTION = 2048
 
 
@@ -177,8 +179,9 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     standard error of the overlap by resampling atoms with replacement;
     every replica is folded over the same pass, as the base ensemble
     weighted by how often the replica drew each atom, so all grids of one
-    sample time share one deposit stencil and one blur.  The base curve
-    does not depend on ``n_bootstrap``.
+    sample time share one deposit stencil and one blur matrix.  The base
+    curve does not depend on ``n_bootstrap``.  The square root of each
+    first-sample grid is taken once, by ``mode_overlap``, and kept.
     """
     config.validate()
     trap = config.trap()

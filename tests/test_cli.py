@@ -51,17 +51,38 @@ def test_simulate_config_file(tmp_path):
     assert len(read_curve_csv(str(out)).times) == 3
 
 
+def _src_env(**extra):
+    """The environment of a child process that imports this checkout."""
+    src = str(Path(boxmem.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_scipy_optimize_out():
     # every run, and the benchmark's set-up probe, pays for what the
-    # package imports: scipy.optimize alone adds about 22 MB of RSS
-    src = str(Path(boxmem.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # package imports: scipy.optimize alone adds about 22 MB of RSS, and
+    # the package needs no scipy module at all
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, boxmem; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+         "import sys, boxmem; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        env=_src_env(), capture_output=True, text=True, check=True,
+        timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_simulate_csv_same_under_blas_thread_counts(tmp_path):
+    # the KDE blur is a BLAS product: its thread count must not move a byte
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"c{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "boxmem.cli", "simulate", "--preset",
+             "centered", "--atoms", "2000", "--seed", "3", "--out", str(out)],
+            env=_src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True, check=True, timeout=120)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_simulate_bad_config_exits_2(tmp_path, capsys):

@@ -9,9 +9,9 @@ from boxmem.ensemble import AtomEnsemble
 from boxmem.errors import EmptyModeError, GridCoverageError
 from boxmem.geometry import RingPotential, TrapGeometry
 from boxmem.lightshift import ShiftField, simulate_coherence
-from boxmem.spinwave import (ModeSpec, assign_excitation, atom_survival,
-                             collinear_delta_k, density_estimate,
-                             efficiency_total, mode_overlap,
+from boxmem.spinwave import (ModeSpec, _blur_matrix, assign_excitation,
+                             atom_survival, collinear_delta_k,
+                             density_estimate, efficiency_total, mode_overlap,
                              spinwave_wavevector)
 
 
@@ -91,7 +91,8 @@ def test_grid_coverage_guard():
 def _density_estimate_add_at(weights, positions_xy, extent=150e-6,
                              resolution=128, bandwidth=10e-6):
     """Reference for density_estimate: one grid, its cloud-in-cell
-    deposit made by four sequential np.add.at calls, one per corner."""
+    deposit made by four sequential np.add.at calls, one per corner, then
+    blurred by the products of _blur_matrix."""
     mass = weights**2
     inside = (np.abs(positions_xy[:, 0]) < extent) \
         & (np.abs(positions_xy[:, 1]) < extent)
@@ -109,9 +110,26 @@ def _density_estimate_add_at(weights, positions_xy, extent=150e-6,
             gx = np.clip(ix + dx, 0, resolution - 1)
             gy = np.clip(iy + dy, 0, resolution - 1)
             np.add.at(grid, (gx, gy), m * wx * wy)
-    grid = gaussian_filter(grid, sigma=bandwidth / cell, mode="constant",
-                           truncate=8.0)
+    blur = _blur_matrix(bandwidth / cell, resolution)
+    grid = blur @ grid @ blur
     return grid / (grid.sum() * cell * cell)
+
+
+@pytest.mark.parametrize("resolution", [8, 9, 64, 128, 200, 256])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 4.27, 16.0, 40.0])
+def test_blur_matrix_matches_gaussian_filter(resolution, sigma):
+    # the products blur as scipy's zero-padded filter does, up to rounding;
+    # at sigma 16 and 40 cells the radius int(8 sigma + 0.5) passes the
+    # grid on most of these resolutions
+    rng = np.random.default_rng(resolution)
+    stack = rng.random((17, resolution, resolution)) ** 4
+    blur = _blur_matrix(sigma, resolution)
+    got = blur @ stack @ blur
+    want = gaussian_filter(stack, sigma=(0.0, sigma, sigma), mode="constant",
+                           truncate=8.0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    # a grid's bits do not depend on how many grids are blurred at once
+    assert np.array_equal(got, np.stack([blur @ g @ blur for g in stack]))
 
 
 def _tagged_cloud(n, seed):
@@ -188,6 +206,16 @@ def test_overlap_gaussian_closed_form():
     s2 = (30e-6) ** 2 + h**2
     assert mode_overlap(a, b) == pytest.approx(
         math.exp(-d**2 / (4 * s2)), rel=0.01)
+
+
+def test_overlap_roots_first_grid_once():
+    rng = np.random.default_rng(6)
+    w = np.full(5000, 5000**-0.5)
+    a = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
+    b = density_estimate(w, rng.normal(scale=40e-6, size=(5000, 2)))
+    bc = np.sum(np.sqrt(a.values) * np.sqrt(b.values)) * a.cell_area
+    assert mode_overlap(a, b) == float(bc) ** 2
+    assert a.root is a.root and np.array_equal(a.root, np.sqrt(a.values))
 
 
 def test_overlap_requires_matching_grids():
