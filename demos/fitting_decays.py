@@ -34,7 +34,7 @@ print(f"  recovered tau1 = {res.params['tau1'] * 1e3:.0f} ms, "
       f"(degenerate={res.degenerate})")
 
 print("\nfitting the simulated 100 ms storage curve (10k atoms):")
-curve = run_scenario(preset("longdecay", atoms=10_000, dt=2e-5)).curve
+curve = run_scenario(preset("longdecay", atoms=10_000)).curve
 res = fit_exponential(curve.times, curve.total)
 print(f"  total-efficiency 1/e-style constant: "
       f"{res.params['tau'] * 1e3:.1f} ms")

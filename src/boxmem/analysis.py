@@ -25,7 +25,6 @@ class FitResult:
 class ExtremaReport:
     """Alternating minima/maxima of a curve: list of (time, value, kind)."""
     extrema: list = field(default_factory=list)
-    noise_floor: float = 0.0
 
 
 def _levenberg_marquardt(residuals, jacobian, p0, max_iter=200, tol=1e-8):
@@ -78,7 +77,9 @@ def _levenberg_marquardt(residuals, jacobian, p0, max_iter=200, tol=1e-8):
     return p, rss, converged, cov
 
 
-def _prepare(points_t, points_y, weights):
+def _prepare(points_t, points_y, min_points):
+    """The checked arrays t and y, and the log-linear initializer: the
+    intercept of the straight line through (t, ln y) and its decay time."""
     t = np.asarray(points_t, dtype=float)
     y = np.asarray(points_y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
@@ -87,34 +88,29 @@ def _prepare(points_t, points_y, weights):
         raise ValueError("t and y must be finite")
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    return t, y, np.sqrt(w)
-
-
-def fit_exponential(points_t, points_y, weights=None,
-                    offset: bool = False) -> FitResult:
-    """Fit y = A exp(-t/tau) (+ C with ``offset``) by damped Gauss-Newton."""
-    t, y, sw = _prepare(points_t, points_y, weights)
-    if len(t) < 3:
-        raise ValueError("at least 3 points are required")
+    if len(t) < min_points:
+        raise ValueError(f"at least {min_points} points are required")
     if np.any(y <= 0):
         raise ValueError("y must be positive for the log-space initializer")
-
-    # log-linear initializer
     slope, intercept = np.polyfit(t, np.log(y), 1)
     tau0 = -1.0 / slope if slope < 0 else (t[-1] - t[0] + 1e-30)
+    return t, y, intercept, tau0
+
+
+def fit_exponential(points_t, points_y, offset: bool = False) -> FitResult:
+    """Fit y = A exp(-t/tau) (+ C with ``offset``) by damped Gauss-Newton."""
+    t, y, intercept, tau0 = _prepare(points_t, points_y, 3)
     A0 = math.exp(intercept)
     p0 = [A0, tau0, 0.0] if offset else [A0, tau0]
 
     def residuals(p):
-        model = p[0] * np.exp(-t / p[1]) + (p[2] if offset else 0.0)
-        return sw * (model - y)
+        return p[0] * np.exp(-t / p[1]) + (p[2] if offset else 0.0) - y
 
     def jacobian(p):
         e = np.exp(-t / p[1])
-        cols = [sw * e, sw * p[0] * t / p[1] ** 2 * e]
+        cols = [e, p[0] * t / p[1] ** 2 * e]
         if offset:
-            cols.append(sw)
+            cols.append(np.ones_like(t))
         return np.column_stack(cols)
 
     p, rss, converged, cov = _levenberg_marquardt(residuals, jacobian, p0)
@@ -126,7 +122,7 @@ def fit_exponential(points_t, points_y, weights=None,
                      dict(zip(names, map(float, err))), rss, converged)
 
 
-def fit_double_exponential(points_t, points_y, weights=None) -> FitResult:
+def fit_double_exponential(points_t, points_y) -> FitResult:
     """Fit y = f exp(-t/tau1) + (1-f) exp(-t/tau2), tau1 < tau2.
 
     Three starts dodge the f <-> 1-f symmetric local minimum; flags a
@@ -134,14 +130,7 @@ def fit_double_exponential(points_t, points_y, weights=None) -> FitResult:
     (unless one amplitude vanished and the model collapsed to a single
     exponential).
     """
-    t, y, sw = _prepare(points_t, points_y, weights)
-    if len(t) < 6:
-        raise ValueError("at least 6 points are required")
-    if np.any(y <= 0):
-        raise ValueError("y must be positive for the log-space initializer")
-
-    slope, _ = np.polyfit(t, np.log(y), 1)
-    tau_g = -1.0 / slope if slope < 0 else (t[-1] - t[0] + 1e-30)
+    t, y, _, tau_g = _prepare(points_t, points_y, 6)
     starts = [
         (0.5, tau_g / 3.0, 3.0 * tau_g),
         (0.2, tau_g / 2.0, 2.0 * tau_g),
@@ -150,16 +139,16 @@ def fit_double_exponential(points_t, points_y, weights=None) -> FitResult:
 
     def residuals(p):
         f, t1, t2 = p
-        return sw * (f * np.exp(-t / t1) + (1.0 - f) * np.exp(-t / t2) - y)
+        return f * np.exp(-t / t1) + (1.0 - f) * np.exp(-t / t2) - y
 
     def jacobian(p):
         f, t1, t2 = p
         e1 = np.exp(-t / t1)
         e2 = np.exp(-t / t2)
         return np.column_stack([
-            sw * (e1 - e2),
-            sw * f * t / t1**2 * e1,
-            sw * (1.0 - f) * t / t2**2 * e2,
+            e1 - e2,
+            f * t / t1**2 * e1,
+            (1.0 - f) * t / t2**2 * e2,
         ])
 
     best = None
@@ -205,8 +194,10 @@ def find_extrema(times, values, window: int = 5,
         raise ValueError("times and values must be finite")
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and positive")
+    if not (math.isfinite(noise_floor) and noise_floor >= 0):
+        raise ValueError("noise_floor must be finite and non-negative")
     if np.ptp(y) == 0:
-        return ExtremaReport([], noise_floor)
+        return ExtremaReport([])
 
     if window > 1:
         kernel = np.ones(window) / window
@@ -286,4 +277,4 @@ def find_extrema(times, values, window: int = 5,
         else:
             tv = t[i]
         out.append((float(tv), float(y[i]), kind))
-    return ExtremaReport(out, noise_floor)
+    return ExtremaReport(out)

@@ -118,12 +118,14 @@ def _cmd_compensation(args) -> int:
                             trap_wavelength=args.trap_nm * 1e-9)
     p_comp = optimal_compensation_power(spec)
     tau0 = args.tau0_ms * 1e-3
+    # every input is checked before the first line is printed
+    residual = {eps: residual_lifetime(tau0, eps)
+                for eps in (0.01, 0.024, 0.10)}
     print(f"trap_power_W={args.power:.6g}")
     print(f"trap_wavelength_nm={args.trap_nm:.6g}")
     print(f"optimal_comp_power_uW={p_comp * 1e6:.4g}")
     print(f"uncompensated_tau_ms={tau0 * 1e3:.4g}")
-    for eps in (0.01, 0.024, 0.10):
-        tau = residual_lifetime(tau0, eps)
+    for eps, tau in residual.items():
         print(f"epsilon={eps:.3g} residual_tau_ms={tau * 1e3:.4g}")
     return 0
 

@@ -22,12 +22,6 @@ class PhysicalConstants:
     lambda_D2: float = 780.241209e-9         # m, vacuum
     lambda_D1: float = 794.978851e-9         # m, vacuum
 
-    def __post_init__(self):
-        for name in ("m_atom", "k_B", "hbar", "c", "g_earth",
-                     "nu_hf", "lambda_D2", "lambda_D1"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-
     @property
     def omega_hf(self) -> float:
         """Ground hyperfine splitting as an angular frequency (rad/s)."""

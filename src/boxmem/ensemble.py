@@ -336,17 +336,17 @@ def _verlet(pos, vel, accel, interval, dt):
         vel += np.multiply(acc, 0.5 * step, out=scratch)
 
 
-def _check_substep(ensemble, dt, trap):
-    v = np.ascontiguousarray(ensemble.velocities.T)  # (3, n): contiguous rows
+def _check_substep(velocities, dt, wall_width):
+    """Refuse a Verlet sub-step over a tenth of the time the fastest atom,
+    at 3-sigma thermal speed, takes to cross the soft flank."""
+    v = np.ascontiguousarray(velocities.T)  # (3, n): contiguous rows
     if v.size == 0:
         return
     v3 = max(3.0 * float(np.max(np.std(v, axis=1))),
              float(np.max(np.abs(v))))
     if v3 <= 0:
         return
-    soft = "soft" in (trap.wall_model, trap.endcap_model)
-    scale = trap.ring.wall_width if soft else trap.radius
-    t_cross = scale / v3
+    t_cross = wall_width / v3
     if dt > 0.1 * t_cross:
         raise ConfigurationError(
             f"dt={dt:g} s exceeds a tenth of the fastest wall-crossing time "
@@ -370,16 +370,18 @@ def propagate(
     hit to the next (the first root of the quartic rho(t)^2 = R^2), and hard
     end caps fold the axial motion analytically.  Soft walls and soft end
     caps integrate -grad U with velocity-Verlet in sub-steps of ``dt``, in
-    place on contiguous (2, n) transverse and (n,) axial copies; where both
-    are hard, ``dt`` only enters the step guard.  Returns a new ensemble and
-    leaves the input alone, so a consumer calls it once per sample interval
-    and folds over the states it returns; no trajectory is stored.
+    place on contiguous (2, n) transverse and (n,) axial copies; ``dt`` is
+    checked only there, and where both are hard it is not read.  Returns a
+    new ensemble and leaves the input alone, so a consumer calls it once per
+    sample interval and folds over the states it returns; no trajectory is
+    stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_substep(ensemble, dt, trap)
+    if "soft" in (trap.wall_model, trap.endcap_model):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        _check_substep(ensemble.velocities, dt, trap.ring.wall_width)
 
     pos = ensemble.positions.copy()
     vel = ensemble.velocities.copy()

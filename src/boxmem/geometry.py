@@ -82,12 +82,6 @@ def _flank_gradient(s, edge, ring: RingPotential):
     return grad
 
 
-def potential_gradient(radius, ring: RingPotential):
-    """dU/drho (K/m) at transverse radius.  Zero in the clamped region."""
-    return _flank_gradient(np.abs(np.asarray(radius, dtype=float)),
-                           ring.ring_radius, ring)
-
-
 def transverse_force(xy, ring: RingPotential, k_B: float):
     """Force (N) per transverse axis from the ring potential, shape (..., 2),
     and an exact 0 on the axis.  The result has the memory layout of ``xy``,

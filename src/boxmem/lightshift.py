@@ -41,8 +41,11 @@ class CompensationSpec:
     trap_wavelength: float = 775e-9    # m
 
     def __post_init__(self):
-        if self.trap_power < 0:
-            raise ValueError("trap_power must be non-negative")
+        if not (math.isfinite(self.trap_power) and self.trap_power >= 0):
+            raise ValueError("trap_power must be finite and non-negative")
+        if not (math.isfinite(self.trap_wavelength)
+                and self.trap_wavelength > 0):
+            raise ValueError("trap_wavelength must be finite and positive")
 
 
 def trap_detuning(wavelength: float) -> float:
@@ -83,8 +86,8 @@ def residual_lifetime(tau_uncompensated: float, epsilon: float) -> float:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if tau_uncompensated <= 0:
-        raise ValueError("tau_uncompensated must be positive")
+    if not (math.isfinite(tau_uncompensated) and tau_uncompensated > 0):
+        raise ValueError("tau_uncompensated must be finite and positive")
     if epsilon == 0.0:
         return math.inf
     return tau_uncompensated / epsilon

@@ -70,7 +70,7 @@ class ScenarioConfig:
     grid_extent: float = _si(150e-6, "um")
     grid_resolution: int = 128
     kde_bandwidth: float = _si(10e-6, "um")
-    dt: float = _si(5e-6, "us")         # soft-wall sub-step and step guard
+    dt: float = _si(5e-6, "us")         # soft-wall sub-step; hard walls ignore
     seed: int = 0
     workers: int = 1                    # no effect: the KDE runs in one thread
 
@@ -130,25 +130,18 @@ class ScenarioConfig:
         return self.gravity if self.gravity_on else 0.0
 
 
-# all presets use hard walls, which propagate solves exactly from bounce to
-# bounce; there dt only sets the step guard, not the accuracy
-_PRESET_DT = 2e-5
-
 PRESETS = {
     # breathing-revival presets start the tagged atoms from the mode region
     # of a spatially uniform gas; the barometric ("thermal") initial density
     # washes the collective fall-and-refocus revivals down to the noise
-    "centered": ScenarioConfig(spatial="uniform", dt=_PRESET_DT),
+    "centered": ScenarioConfig(spatial="uniform"),
     # signal mode 60 um above the trap center
-    "offset60": ScenarioConfig(mode_offset_y=60e-6, spatial="uniform",
-                               dt=_PRESET_DT),
+    "offset60": ScenarioConfig(mode_offset_y=60e-6, spatial="uniform"),
     # dense short-time grid, uncompensated dephasing constant
     "shortdecay": ScenarioConfig(
-        times=np.arange(0.0, 5.0001e-3, 0.1e-3), tau_dephase=0.67e-3,
-        dt=_PRESET_DT),
+        times=np.arange(0.0, 5.0001e-3, 0.1e-3), tau_dephase=0.67e-3),
     # long-time decay out to 100 ms
-    "longdecay": ScenarioConfig(
-        times=np.arange(0.0, 100.0001e-3, 2.0e-3), dt=_PRESET_DT),
+    "longdecay": ScenarioConfig(times=np.arange(0.0, 100.0001e-3, 2.0e-3)),
 }
 
 

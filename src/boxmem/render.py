@@ -17,7 +17,7 @@ COLUMN_COLORS = dict(zip(CURVE_COLUMNS,
                          ("#ff7f0e", "#2ca02c", "#d62728", "#1f77b4")))
 
 
-def axis_mapping(t_ms, values, log_y: bool):
+def _axis_mapping(t_ms, values, log_y: bool):
     """The (affine) data->pixel mapping used by ``render_svg``.
 
     Returns (x0, sx, y0, sy) with  px = x0 + sx * t_ms  and
@@ -49,7 +49,7 @@ def render_svg(curve: EfficiencyCurve, columns=(TOTAL_COLUMN,),
     stacked = np.concatenate(list(series.values()))
     if not (np.all(np.isfinite(t_ms)) and np.all(np.isfinite(stacked))):
         raise ValueError("times and values must be finite")
-    x0, sx, y0, sy = axis_mapping(t_ms, stacked, log_y)
+    x0, sx, y0, sy = _axis_mapping(t_ms, stacked, log_y)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

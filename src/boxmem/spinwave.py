@@ -47,10 +47,6 @@ class SpinWaveRecord:
     weights: np.ndarray
     delta_k: np.ndarray
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.delta_k = np.asarray(self.delta_k, dtype=float)
-
 
 def spinwave_wavevector(write_k, signal_k):
     """delta_k = write_k - signal_k and the spin-wave wavelength 2 pi/|delta_k|.
@@ -113,22 +109,9 @@ class DensityGrid:
         grid with the same first grid."""
         return np.sqrt(self.values)
 
-    def centers(self) -> np.ndarray:
-        return (-self.extent + self.cell_size * (np.arange(self.resolution) + 0.5))
-
     def same_grid(self, other: "DensityGrid") -> bool:
         return (self.resolution == other.resolution
                 and math.isclose(self.extent, other.extent, rel_tol=1e-12))
-
-    def second_moments(self) -> tuple[float, float]:
-        """Variance of the distribution along x and y (m^2)."""
-        c = self.centers()
-        px = self.values.sum(axis=1) * self.cell_area
-        py = self.values.sum(axis=0) * self.cell_area
-        mx = np.sum(c * px) / np.sum(px)
-        my = np.sum(c * py) / np.sum(py)
-        return (float(np.sum((c - mx) ** 2 * px) / np.sum(px)),
-                float(np.sum((c - my) ** 2 * py) / np.sum(py)))
 
 
 def _cic_axis(u, extent, cell, resolution):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from boxmem.analysis import (find_extrema, fit_double_exponential,
-                             fit_exponential)
+from boxmem.analysis import (_levenberg_marquardt, find_extrema,
+                             fit_double_exponential, fit_exponential)
 
 
 def test_exponential_exact_recovery():
@@ -53,13 +53,14 @@ def test_exponential_input_validation():
 
 
 def test_fit_never_converged_with_nonfinite_result():
-    # negative weights make every residual NaN, so no step is ever taken
+    # every residual is NaN, so no step is ever taken
     t = np.linspace(0.0, 1.0, 10)
-    with np.errstate(invalid="ignore"):
-        res = fit_exponential(t, np.exp(-t), weights=-np.ones_like(t))
-        assert not res.converged and math.isnan(res.rss)
-        res = fit_double_exponential(t, np.exp(-t), weights=-np.ones_like(t))
-        assert not res.converged and math.isnan(res.rss)
+    p, rss, converged, _ = _levenberg_marquardt(
+        lambda p: np.full_like(t, np.nan),
+        lambda p: np.column_stack([np.exp(-t / p[1]), t * np.exp(-t / p[1])]),
+        [1.0, 1.0])
+    assert not converged and math.isnan(rss)
+    assert np.array_equal(p, [1.0, 1.0])
 
 
 def test_double_exponential_recovery():
@@ -175,6 +176,9 @@ def test_extrema_validation():
         find_extrema(t[:3], np.ones(3))
     with pytest.raises(ValueError):
         find_extrema(t, np.cos(t), window=4)
+    for floor in (np.nan, np.inf, -np.inf, -0.01):
+        with pytest.raises(ValueError, match="noise_floor"):
+            find_extrema(t, np.cos(10 * t), noise_floor=floor)
     for bad in (np.nan, np.inf):
         y = np.cos(10 * t)
         y[20] = bad

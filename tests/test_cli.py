@@ -11,7 +11,7 @@ import pytest
 import boxmem
 from boxmem.cli import main
 from boxmem.pipeline import read_curve_csv, write_curve_csv
-from boxmem.render import axis_mapping
+from boxmem.render import _axis_mapping
 from boxmem.spinwave import EfficiencyCurve
 
 
@@ -244,6 +244,41 @@ def test_compensation_near_resonance_exits_2(capsys):
                  "--trap-nm", "780.2411"]) == 2
 
 
+_SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
+
+
+# argv (with {csv}, a decaying curve, {cfg}, a scenario file of the row's
+# lines after _SHORT_RUN, and {out}, an output path), those lines, exit code
+@pytest.mark.parametrize("argv, lines, code", [
+    ("compensation --power 1.9 --trap-nm 0", "", 2),
+    ("compensation --power nan --trap-nm 775", "", 2),
+    ("compensation --power 1.9 --trap-nm nan", "", 2),
+    ("compensation --power 1.9 --trap-nm 775 --tau0-ms nan", "", 2),
+    ("compensation --power 1.9 --trap-nm 775 --tau0-ms inf", "", 2),
+    ("compensation --power 1.9 --trap-nm 775 --tau0-ms 0", "", 2),
+    ("extrema --input {csv} --noise-floor nan", "", 2),
+    ("extrema --input {csv} --noise-floor -0.1", "", 2),
+    ("simulate --config {cfg} --out {out}", "dt_us = 0", 2),
+    # hard walls fly exactly from bounce to bounce and read no sub-step
+    ("simulate --config {cfg} --out {out}", "dt_us = 1000", 0),
+    # a soft-walled preset runs on the default sub-step
+    ("simulate --config {cfg} --out {out}",
+     "preset = centered\nwall_model = soft\ntrap_depth_uK = 200", 0),
+])
+def test_cli_input_table(tmp_path, capsys, argv, lines, code):
+    csv, cfg, out = tmp_path / "c.csv", tmp_path / "s.cfg", tmp_path / "o.csv"
+    make_curve_csv(csv)
+    cfg.write_text(f"[scenario]\n{_SHORT_RUN}{lines}\n")
+    rc = main([a.format(csv=csv, cfg=cfg, out=out) for a in argv.split()])
+    captured = capsys.readouterr()
+    assert rc == code, captured.err
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.out == "" and captured.err
+    else:
+        assert captured.out.startswith("wrote ")
+
+
 def test_render_round_trip(tmp_path):
     path = tmp_path / "c.csv"
     t, y = make_curve_csv(path)
@@ -253,7 +288,7 @@ def test_render_round_trip(tmp_path):
     m = re.search(r'data-column="R_total" points="([^"]+)"', text)
     pts = np.array([[float(v) for v in p.split(",")]
                     for p in m.group(1).split()])
-    x0, sx, y0, sy = axis_mapping(t * 1e3, y, log_y=False)
+    x0, sx, y0, sy = _axis_mapping(t * 1e3, y, log_y=False)
     t_back = (pts[:, 0] - x0) / sx
     y_back = (pts[:, 1] - y0) / sy
     assert np.allclose(t_back, t * 1e3, atol=0.01)

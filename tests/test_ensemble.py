@@ -411,9 +411,24 @@ def test_bounce_return_time():
 
 
 def test_substep_guard():
-    ens = sample_thermal_ensemble(100, TRAP, T15, seed=9)
-    with pytest.raises(ConfigurationError):
-        propagate(ens, 0.0, 1e-3, dt=1e-3, trap=TRAP)
+    # a Verlet sub-step must resolve the soft flank, of a wall or a cap
+    for trap in (TrapGeometry(wall_model="soft"),
+                 TrapGeometry(endcap_model="soft")):
+        ens = sample_thermal_ensemble(100, trap, T15, seed=9)
+        with pytest.raises(ConfigurationError, match="wall-crossing"):
+            propagate(ens, 0.0, 1e-3, dt=1e-3, trap=trap)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            propagate(ens, 0.0, 1e-3, dt=0.0, trap=trap)
+
+
+def test_hard_walls_do_not_read_dt():
+    # the hard-wall flight is exact, so no sub-step enters it
+    ens = sample_thermal_ensemble(2000, TRAP, T15, seed=9)
+    ref = propagate(ens, 0.0, 3e-3, dt=5e-6, trap=TRAP)
+    for dt in (1e-3, 2e-5):
+        out = propagate(ens, 0.0, 3e-3, dt=dt, trap=TRAP)
+        assert np.array_equal(out.positions, ref.positions)
+        assert np.array_equal(out.velocities, ref.velocities)
 
 
 @pytest.mark.parametrize("wall_model", ["hard", "soft"])

@@ -17,8 +17,8 @@ from boxmem import ensemble, lightshift
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import (AtomEnsemble, _fold_axial, propagate,
                              sample_thermal_ensemble)
-from boxmem.geometry import (RingPotential, TrapGeometry, axial_force,
-                             potential_gradient, transverse_force)
+from boxmem.geometry import (RingPotential, TrapGeometry, _flank_gradient,
+                             axial_force, transverse_force)
 from boxmem.lightshift import ShiftField, simulate_coherence
 
 RING = RingPotential()
@@ -118,10 +118,10 @@ def test_forces_match_where_forms():
                           _axial_force_where(z, RING, HALF, K_B))
 
     rho = np.abs(xy[:, 0])
-    assert np.array_equal(potential_gradient(rho, RING),
+    assert np.array_equal(_flank_gradient(rho, r, RING),
                           _flank_where(rho, r, RING))
-    for s in (0.0, 50e-6, r, 100e-6):
-        assert potential_gradient(s, RING) == _flank_where(s, r, RING)
+    for s in map(np.float64, (0.0, 50e-6, r, 100e-6)):
+        assert _flank_gradient(s, r, RING) == _flank_where(s, r, RING)
 
 
 @pytest.mark.parametrize("endcap_model", ["hard", "soft"])

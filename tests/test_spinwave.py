@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from boxmem.constants import CONSTANTS
@@ -39,6 +41,25 @@ def test_excitation_weights_normalized():
     assert 1.0 / np.sum(rec.weights**4) > 1.0    # participation number
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       spread=st.floats(1e-6, 300e-6),
+       center=st.tuples(st.floats(-150e-6, 150e-6), st.floats(-150e-6, 150e-6)),
+       waist=st.floats(5e-6, 400e-6))
+def test_excitation_weights_have_unit_norm(seed, n, spread, center, waist):
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(scale=spread, size=(n, 3))
+    mode = ModeSpec(center=center, waist_w0=waist)
+    d2 = (pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2
+    if np.max(np.exp(-d2 / waist**2)) < 1e-30:
+        with pytest.raises(EmptyModeError):
+            assign_excitation(pos, mode)
+        return
+    w = assign_excitation(pos, mode).weights
+    assert np.all(w >= 0)
+    assert np.sum(w**2) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_excitation_favors_mode_center():
     pos = np.array([[0.0, 0.0, 0.0], [100e-6, 0.0, 0.0]])
     rec = assign_excitation(pos, ModeSpec())
@@ -69,6 +90,16 @@ def test_density_unit_integral():
     assert np.all(grid.values >= 0.0)
 
 
+def _second_moments(grid):
+    """Variance of a grid's distribution along x and y (m^2)."""
+    c = -grid.extent + grid.cell_size * (np.arange(grid.resolution) + 0.5)
+    variances = []
+    for p in (grid.values.sum(axis=1), grid.values.sum(axis=0)):
+        mean = np.sum(c * p) / np.sum(p)
+        variances.append(float(np.sum((c - mean) ** 2 * p) / np.sum(p)))
+    return variances
+
+
 def test_density_second_moment_includes_bandwidth():
     rng = np.random.default_rng(2)
     sigma = 30e-6
@@ -76,7 +107,7 @@ def test_density_second_moment_includes_bandwidth():
     pos = rng.normal(scale=sigma, size=(200000, 2))
     w = np.full(len(pos), 1.0 / math.sqrt(len(pos)))
     grid = density_estimate(w, pos, bandwidth=h)
-    vx, vy = grid.second_moments()
+    vx, vy = _second_moments(grid)
     assert vx == pytest.approx(sigma**2 + h**2, rel=0.02)
     assert vy == pytest.approx(sigma**2 + h**2, rel=0.02)
 
@@ -190,6 +221,22 @@ def test_overlap_identity_and_symmetry():
     r_ab, r_ba = mode_overlap(a, b), mode_overlap(b, a)
     assert r_ab == pytest.approx(r_ba, rel=1e-12)
     assert 0.0 < r_ab < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       spreads=st.tuples(st.floats(1e-6, 100e-6), st.floats(1e-6, 100e-6)),
+       resolution=st.integers(8, 48), bandwidth=st.floats(1e-6, 60e-6))
+def test_overlap_symmetric_bounded_and_one_on_itself(seed, n, spreads,
+                                                     resolution, bandwidth):
+    rng = np.random.default_rng(seed)
+    a, b = (density_estimate(
+        rng.random(n) + 0.01,
+        np.clip(rng.normal(scale=s, size=(n, 2)), -140e-6, 140e-6),
+        resolution=resolution, bandwidth=bandwidth) for s in spreads)
+    assert mode_overlap(a, a) == pytest.approx(1.0, abs=1e-12)
+    assert mode_overlap(a, b) == mode_overlap(b, a)
+    assert 0.0 <= mode_overlap(a, b) <= 1.0 + 1e-12
 
 
 def test_overlap_gaussian_closed_form():
