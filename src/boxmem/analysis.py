@@ -100,7 +100,12 @@ def _prepare(points_t, points_y, min_points):
 def fit_exponential(points_t, points_y, offset: bool = False) -> FitResult:
     """Fit y = A exp(-t/tau) (+ C with ``offset``) by damped Gauss-Newton."""
     t, y, intercept, tau0 = _prepare(points_t, points_y, 3)
-    A0 = math.exp(intercept)
+    try:
+        A0 = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(
+            f"the log-linear amplitude exp({intercept:.6g}) at t = 0 "
+            "overflows a float") from None
     p0 = [A0, tau0, 0.0] if offset else [A0, tau0]
 
     def residuals(p):

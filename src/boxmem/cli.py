@@ -150,7 +150,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, CalibrationError) as exc:
+    # OverflowError, ZeroDivisionError and FloatingPointError are
+    # ArithmeticErrors
+    except (NumericalError, CalibrationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

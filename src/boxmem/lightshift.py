@@ -30,6 +30,7 @@ from .geometry import RingPotential, TrapGeometry, potential_at
 GAMMA_D2 = 2.0 * math.pi * 6.0666e6  # rad/s, 87Rb D2 natural linewidth
 CALIBRATION_TEMPERATURE = 15e-6  # K, the paper's cloud
 CALIBRATION_MAX_ITER = 40  # bisections; the stop for an infinite bracket end
+ONE_OVER_E = 1.0 / math.e  # the coherence that defines the dephasing time
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class ShiftField:
 
 def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
     """First crossing of 1/e, linearly interpolated; inf if never crossed."""
-    target = 1.0 / math.e
+    target = ONE_OVER_E
     below = np.flatnonzero(values < target)
     if below.size == 0:
         return math.inf
@@ -133,6 +134,8 @@ def simulate_coherence(
     sample_dt: float = 2e-5,
     dt: float = DEFAULT_DT,
     gravity: float = CONSTANTS.g_earth,
+    *,
+    stop_below: float | None = None,
 ):
     """Dephasing curve C(t) = |mean exp(i phi_1)| of the given ``ensemble``
     in the trap, every ``sample_dt`` up to ``t_max``; returns (times, C).
@@ -140,6 +143,10 @@ def simulate_coherence(
     Accumulates the light-shift phase phi_1 with the trapezoidal rule one
     sample interval at a time as the atoms are propagated (memory
     O(n_atoms)), so long storage times are cheap; the ensemble is left alone.
+    With ``stop_below`` set, the run stops at the first sample i with
+    C[i] < stop_below and returns the samples 0..i; each of them has the
+    bits of the full run's, so ``stop_below=1/e`` leaves
+    ``one_over_e_time`` unchanged.
     """
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
@@ -154,6 +161,8 @@ def simulate_coherence(
         phi += 0.5 * (omega + omega_prev) * (times[i] - times[i - 1])
         omega_prev = omega
         coherence[i] = np.abs(np.exp(1j * phi).mean())
+        if stop_below is not None and coherence[i] < stop_below:
+            return times[:i + 1], coherence[:i + 1]
     return times, coherence
 
 
@@ -172,9 +181,11 @@ def calibrate_wall_width(
     CALIBRATION_TEMPERATURE is drawn from ``seed`` per call; the
     trajectories themselves depend on the candidate width, so each
     candidate folds that same cloud through its own trap, and the search is
-    deterministic.  Monotonicity (thicker wall -> longer light exposure per
-    bounce -> shorter tau) is verified at the bracket endpoints before
-    bisecting, not assumed.
+    deterministic.  Each candidate's C(t) runs only up to its first sample
+    below 1/e, the last one its 1/e time reads; a candidate that never
+    goes below runs to ``4 * target_tau`` and has tau = inf.  Monotonicity
+    (thicker wall -> longer light exposure per bounce -> shorter tau) is
+    verified at the bracket endpoints before bisecting, not assumed.
 
     The attainable 1/e times form a staircase: coherent revival dips of
     C(t) make its 1/e crossing hop between dips as the width grows.  When
@@ -199,7 +210,7 @@ def calibrate_wall_width(
         times, c = simulate_coherence(
             ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
             t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0),
-            dt=dt)
+            dt=dt, stop_below=ONE_OVER_E)
         return one_over_e_time(times, c)
 
     lo, hi = bracket

@@ -148,3 +148,73 @@ def test_calibration_unreachable_target_reported(monkeypatch):
         calibrate_wall_width(10e-3, RingPotential(), n_atoms=200,
                              bracket=(30e-6, 50e-6))
     assert len(draws) == 1
+
+
+def _soft_trap_and_cloud(n_atoms, seed):
+    ring = RingPotential()
+    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    return ShiftField(ring), trap, sample_thermal_ensemble(n_atoms, trap,
+                                                           15e-6, seed=seed)
+
+
+def test_coherence_stop_below_returns_the_full_run_prefix():
+    field, trap, ens = _soft_trap_and_cloud(500, 1)
+    times, c = simulate_coherence(field, trap, ens, t_max=1.5e-3)
+    k = int(np.flatnonzero(c < 1.0 / math.e)[0])
+    assert k < len(times) - 1            # the stop saves samples
+    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=1.5e-3,
+                                      stop_below=1.0 / math.e)
+    assert len(t_cut) == k + 1
+    assert np.array_equal(t_cut, times[:k + 1])
+    assert np.array_equal(c_cut, c[:k + 1])
+    assert one_over_e_time(t_cut, c_cut) == one_over_e_time(times, c)
+
+
+def test_coherence_stop_below_never_reached_runs_to_t_max():
+    field, trap, ens = _soft_trap_and_cloud(500, 1)
+    times, c = simulate_coherence(field, trap, ens, t_max=0.2e-3)
+    assert c.min() >= 1.0 / math.e
+    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=0.2e-3,
+                                      stop_below=1.0 / math.e)
+    assert np.array_equal(t_cut, times)
+    assert np.array_equal(c_cut, c)
+    assert one_over_e_time(t_cut, c_cut) == math.inf
+
+
+def test_calibration_stops_each_candidate_at_its_first_sample_below_1e(
+        monkeypatch):
+    # One coherence run per candidate, one propagate of the whole cloud
+    # per returned interval, and the same candidates, taus and width as
+    # a search that folds every candidate's full curve.
+    n_atoms = 400
+    simulate, propagate = lightshift.simulate_coherence, lightshift.propagate
+
+    def search(full_curve):
+        runs = []      # per candidate: width, tau, samples, propagated sizes
+
+        def counted_propagate(ensemble, *args, **kwargs):
+            runs[-1]["sizes"].append(len(ensemble))
+            return propagate(ensemble, *args, **kwargs)
+
+        def counted_simulate(field, trap, ensemble, *args, **kwargs):
+            if full_curve:
+                kwargs.pop("stop_below", None)
+            runs.append({"width": trap.ring.wall_width, "sizes": []})
+            times, c = simulate(field, trap, ensemble, *args, **kwargs)
+            runs[-1].update(tau=one_over_e_time(times, c), samples=len(times))
+            return times, c
+
+        monkeypatch.setattr(lightshift, "propagate", counted_propagate)
+        monkeypatch.setattr(lightshift, "simulate_coherence", counted_simulate)
+        width = calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=n_atoms)
+        return width, runs
+
+    width, runs = search(full_curve=False)
+    full_width, full_runs = search(full_curve=True)
+    assert width == full_width
+    assert [(r["width"], r["tau"]) for r in runs] == \
+        [(r["width"], r["tau"]) for r in full_runs]
+    for run in runs:
+        assert run["sizes"] == [n_atoms] * (run["samples"] - 1)
+    stopped = sum(r["samples"] for r in runs)
+    assert stopped < sum(r["samples"] for r in full_runs)
