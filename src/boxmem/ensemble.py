@@ -19,7 +19,7 @@ place, on contiguous copies of the transverse (2, n) and the axial state.
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class AtomEnsemble:
 
     positions: np.ndarray
     velocities: np.ndarray
-    # set by a soft-wall ``propagate``: ((ring, gravity), xy, acceleration)
-    # after its last sub-step, which the next call's first kick reuses
-    _carry: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -135,11 +131,7 @@ def sample_thermal_ensemble(
 def _fold_axial(z, vz, half):
     """Exact end-cap reflections of decoupled linear axial motion."""
     period = 4.0 * half
-    u = z + half
-    # np.mod returns u itself on [0, period), so only the rest pay for it
-    out = (u < 0.0) | (u >= period)
-    if out.any():
-        u[out] = np.mod(u[out], period)
+    u = np.mod(z + half, period)
     upper = u > 2.0 * half
     z_f = np.where(upper, period - u, u) - half
     vz_f = np.where(upper, -vz, vz)
@@ -327,15 +319,12 @@ def _fly_hard(pos, vel, interval, radius, g):
                              "state or grazing contact)")
 
 
-def _verlet(pos, vel, accel, interval, dt, acc=None):
+def _verlet(pos, vel, accel, interval, dt):
     """Velocity-Verlet under ``accel(pos)`` over ``interval`` in sub-steps
     of at most ``dt``, in place on the arrays ``pos`` and ``vel``.  Each
     step's end-of-step acceleration is the next step's start, so it is
-    evaluated once; one scratch array takes each kick and drift.  ``acc``,
-    if given, is ``accel(pos)`` already; returns the acceleration at the
-    final ``pos``."""
-    if acc is None:
-        acc = accel(pos)
+    evaluated once; one scratch array takes each kick and drift."""
+    acc = accel(pos)
     scratch = np.empty_like(vel)
     remaining = interval
     while remaining > 1e-18:
@@ -345,7 +334,6 @@ def _verlet(pos, vel, accel, interval, dt, acc=None):
         pos += np.multiply(vel, step, out=scratch)
         acc = accel(pos)
         vel += np.multiply(acc, 0.5 * step, out=scratch)
-    return acc
 
 
 def _check_substep(velocities, dt, wall_width):
@@ -386,10 +374,7 @@ def propagate(
     checked only there, and where both are hard it is not read.  Returns a
     new ensemble and leaves the input alone, so a consumer calls it once per
     sample interval and folds over the states it returns; no trajectory is
-    stored.  A soft-wall ensemble returned here carries the transverse
-    acceleration of its last sub-step, and the next call's first kick
-    takes it instead of a force evaluation when the ring, gravity and
-    transverse positions are still the same bits.
+    stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
@@ -406,7 +391,6 @@ def propagate(
     interval = t_end - t_start
     half = trap.length / 2.0
     m, k_B = CONSTANTS.m_atom, CONSTANTS.k_B
-    carry = None
     if trap.wall_model == "hard":
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
@@ -417,14 +401,8 @@ def propagate(
             return acc
 
         xy, vxy = pos[:, :2].T.copy(), vel[:, :2].T.copy()
-        key, acc = (trap.ring, gravity), None
-        if ensemble._carry is not None:
-            carried_key, carried_xy, carried_acc = ensemble._carry
-            if carried_key == key and np.array_equal(carried_xy, xy):
-                acc = carried_acc
-        acc = _verlet(xy, vxy, transverse, interval, dt, acc=acc)
+        _verlet(xy, vxy, transverse, interval, dt)
         pos[:, :2], vel[:, :2] = xy.T, vxy.T
-        carry = (key, xy, acc)
     if trap.endcap_model == "hard":
         pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
                                            vel[:, 2], half)
@@ -437,9 +415,7 @@ def propagate(
         z, vz = pos[:, 2].copy(), vel[:, 2].copy()
         _verlet(z, vz, axial, interval, dt)
         pos[:, 2], vel[:, 2] = z, vz
-    out = AtomEnsemble(pos, vel)
-    out._carry = carry
-    return out
+    return AtomEnsemble(pos, vel)
 
 
 def mechanical_energy(ensemble: AtomEnsemble, gravity: float) -> np.ndarray:

@@ -204,18 +204,16 @@ def test_fit_missing_file_exits_2(tmp_path):
     assert main(["fit", "--input", str(tmp_path / "no.csv")]) == 2
 
 
-def test_fit_amplitude_overflow_exits_2(tmp_path):
+def test_fit_amplitude_overflow_exits_2(tmp_path, capsys):
     # the log-linear intercept at t = 0 is about 2993, past exp's float range
     path = tmp_path / "c.csv"
     path.write_text("t_ms,R_overlap,dephasing_factor,loss_factor,R_total\n"
                     "10,1,1,1,1e300\n11,1,1,1,1e200\n12,1,1,1,1e100\n")
-    run = subprocess.run(
-        [sys.executable, "-m", "boxmem.cli", "fit", "--input", str(path)],
-        env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert run.returncode == 2, run.stderr
-    assert run.stdout == ""
-    assert run.stderr.startswith("error: ")
-    assert "Traceback" not in run.stderr
+    assert main(["fit", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("exc", [OverflowError, ZeroDivisionError,

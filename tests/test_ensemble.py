@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxmem.constants import CONSTANTS
-from boxmem.ensemble import (AtomEnsemble, _first_root, _fold_axial,
-                             mechanical_energy, propagate,
-                             sample_thermal_ensemble)
+from boxmem.ensemble import (AtomEnsemble, _first_root, mechanical_energy,
+                             propagate, sample_thermal_ensemble)
 from boxmem.errors import ConfigurationError, NumericalError
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 
@@ -482,25 +481,3 @@ def test_soft_wall_energy_drift_100ms():
     e1 = total_energy(out)
     drift = np.max(np.abs(e1 - e0)) / np.mean(e0)
     assert drift < 1e-3
-
-
-def _fold_axial_mod(z, vz, half):
-    """Reference for _fold_axial: np.mod over every atom."""
-    period = 4.0 * half
-    u = np.mod(z + half, period)
-    upper = u > 2.0 * half
-    return np.where(upper, period - u, u) - half, np.where(upper, -vz, vz)
-
-
-def test_fold_axial_matches_mod_everywhere():
-    # np.mod runs only where z + half leaves [0, 4 half); the result must
-    # not change for atoms inside, below or more than a period above
-    half = TRAP.length / 2.0
-    rng = np.random.default_rng(27)
-    z = np.concatenate([rng.uniform(-9 * half, 9 * half, 2000),
-                        [-half, half, 3 * half, -5 * half, 7 * half, 0.0,
-                         -0.0, np.nextafter(3 * half, 0), np.nan]])
-    vz = rng.normal(size=z.size)
-    for got, want in zip(_fold_axial(z, vz, half),
-                         _fold_axial_mod(z, vz, half)):
-        assert np.array_equal(got, want, equal_nan=True)

@@ -189,45 +189,3 @@ def test_soft_wall_force_calls_per_substep(monkeypatch, endcap_model):
     assert len(radial) == steps + 1
     assert len(axial) == (steps + 1 if endcap_model == "soft" else 0)
     assert all(len(c["xy"]) == len(ens) for c in radial)
-
-
-def _fresh(ens):
-    """The same state with nothing carried over from a propagate."""
-    return AtomEnsemble(ens.positions.copy(), ens.velocities.copy())
-
-
-def test_soft_wall_reuses_the_last_acceleration(monkeypatch):
-    # the next interval's first kick takes the acceleration that ended the
-    # last one, so it costs one force call less and gives the same bits
-    trap = _soft_trap(20e-6, "hard")
-    ens = sample_thermal_ensemble(200, trap, 15e-6, seed=25)
-    mid = propagate(ens, 0.0, 2.0**-13, dt=2.0**-17, trap=trap)
-    radial = _counting(monkeypatch, ensemble, "transverse_force")
-    carried = propagate(mid, 2.0**-13, 2.0**-12, dt=2.0**-17, trap=trap)
-    assert len(radial) == 16
-    fresh = propagate(_fresh(mid), 2.0**-13, 2.0**-12, dt=2.0**-17, trap=trap)
-    assert len(radial) == 16 + 17
-    assert np.array_equal(carried.positions, fresh.positions)
-    assert np.array_equal(carried.velocities, fresh.velocities)
-
-
-@pytest.mark.parametrize("change", ["positions", "ring", "gravity"])
-def test_soft_wall_drops_a_stale_acceleration(monkeypatch, change):
-    trap = _soft_trap(20e-6, "hard")
-    ens = sample_thermal_ensemble(200, trap, 15e-6, seed=26)
-    mid = propagate(ens, 0.0, 2.0**-13, dt=2.0**-17, trap=trap)
-    gravity = CONSTANTS.g_earth
-    if change == "positions":
-        mid.positions[7, 0] += 1e-6          # in place, after the fact
-    elif change == "ring":
-        trap = _soft_trap(21e-6, "hard")
-    else:
-        gravity = 0.0
-    radial = _counting(monkeypatch, ensemble, "transverse_force")
-    got = propagate(mid, 0.0, 2.0**-13, dt=2.0**-17, trap=trap,
-                    gravity=gravity)
-    assert len(radial) == 17
-    want = propagate(_fresh(mid), 0.0, 2.0**-13, dt=2.0**-17, trap=trap,
-                     gravity=gravity)
-    assert np.array_equal(got.positions, want.positions)
-    assert np.array_equal(got.velocities, want.velocities)
