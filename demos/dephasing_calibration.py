@@ -9,25 +9,22 @@ Run:  python3 demos/dephasing_calibration.py  (about 2 s on a 2-vCPU host)
 """
 
 import math
-from dataclasses import replace
 
-from boxmem.constants import CONSTANTS
 from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry
 from boxmem.lightshift import (ONE_OVER_E, ShiftField, calibrate_wall_width,
-                               one_over_e_time, simulate_coherence)
-
-SIGMA_V = math.sqrt(CONSTANTS.k_B * 15e-6 / CONSTANTS.m_atom)
+                               one_over_e_time, simulate_coherence,
+                               soft_wall_dt)
 
 
 def tau_for_width(width, n_atoms=5000):
     ring = RingPotential(wall_width=width)
     trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
-    dt = min(5e-6, 0.08 * width / (5.0 * SIGMA_V))
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6)
     # the 1/e time reads C(t) only up to its first sample below 1/e
     times, c = simulate_coherence(ShiftField(ring), trap, ens, t_max=3e-3,
-                                  sample_dt=2e-5, dt=dt, stop_below=ONE_OVER_E)
+                                  sample_dt=2e-5, dt=soft_wall_dt(width),
+                                  stop_below=ONE_OVER_E)
     return one_over_e_time(times, c)
 
 

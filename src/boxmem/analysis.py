@@ -27,11 +27,13 @@ class ExtremaReport:
     extrema: list = field(default_factory=list)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _levenberg_marquardt(residuals, jacobian, p0, max_iter=200, tol=1e-8):
     """Minimize sum(residuals(p)^2).  Returns (p, rss, converged, cov).
 
     Damped Gauss-Newton; the returned residual never exceeds the
-    initializer's.  A non-finite optimum is never reported as converged.
+    initializer's.  A non-finite optimum, such as an rss whose squared
+    residuals overflow, is never reported as converged, and warns nothing.
     """
     p = np.asarray(p0, dtype=float)
     r = residuals(p)

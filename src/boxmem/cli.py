@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -88,16 +89,20 @@ def _cmd_fit(args) -> int:
         res = fit_exponential(t, y, offset=args.offset)
     else:
         res = fit_double_exponential(t, y)
-    print(f"model={res.model} column={args.column}")
+    lines, numbers = [f"model={res.model} column={args.column}"], [res.rss]
     for name, value in res.params.items():
         err = res.errors[name]
         if name.startswith("tau"):
             name, value, err = f"{name}_ms", value * 1e3, err * 1e3
-        print(f"{name}={value:.6g} {name}_err={err:.3g}")
+        lines.append(f"{name}={value:.6g} {name}_err={err:.3g}")
+        numbers += [value, err]
     if args.model == "dexp":
-        print(f"degenerate={'true' if res.degenerate else 'false'}")
-    print(f"rss={res.rss:.6g}")
-    print(f"converged={'true' if res.converged else 'false'}")
+        lines.append(f"degenerate={'true' if res.degenerate else 'false'}")
+    lines.append(f"rss={res.rss:.6g}")
+    if not all(map(math.isfinite, numbers)):     # then print nothing
+        raise NumericalError("non-finite fit: " + "; ".join(lines[1:]))
+    lines.append(f"converged={'true' if res.converged else 'false'}")
+    print("\n".join(lines))
     return 0
 
 

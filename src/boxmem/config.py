@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .pipeline import PRESETS, ScenarioConfig
+from .pipeline import ScenarioConfig, preset
 
 # file unit suffix -> SI factor
 _UNITS = {"uK": 1e-6, "um": 1e-6, "mm": 1e-3, "ms": 1e-3, "us": 1e-6,
@@ -47,9 +47,7 @@ def parse_scenario_file(path: str) -> ScenarioConfig:
     items = dict(parser.items("scenario"))
 
     base_name = items.pop("preset", None)
-    if base_name is not None and base_name not in PRESETS:
-        raise ConfigurationError(f"preset: unknown preset '{base_name}'")
-    cfg = PRESETS[base_name] if base_name else ScenarioConfig()
+    cfg = ScenarioConfig() if base_name is None else preset(base_name)
 
     t_keys = {k: items.pop(k, None)
               for k in ("t_start_ms", "t_stop_ms", "t_step_ms")}

@@ -13,8 +13,9 @@ in time.  That root is solved for all atoms at once: the closed-form roots
 of the quartic's second derivative, a parabola, cut the flight into at most
 three pieces of one curvature sign each, and on each piece Newton's method
 converges monotonically from a side where it cannot pass a root.  Soft
-walls and soft end caps are integrated with velocity-Verlet sub-steps in
-place, on contiguous copies of the transverse (2, n) and the axial state.
+walls are integrated with velocity-Verlet sub-steps in place, on a
+contiguous copy of the transverse (2, n) state.  The end caps are hard, and
+the decoupled axial motion is folded exactly.
 
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """
@@ -25,7 +26,8 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigurationError, NumericalError
-from .geometry import TrapGeometry, axial_force, transverse_force
+# axial_force is unused here, but bench/tracer.py patches ensemble.axial_force
+from .geometry import TrapGeometry, axial_force, transverse_force  # noqa: F401
 
 DEFAULT_DT = 5e-6  # s, sub-step; thermal atoms move ~0.3 um per step
 ON_WALL = 1e-13  # |rho^2 / R^2 - 1| on the hard wall; bounces leave ~1e-16
@@ -367,18 +369,17 @@ def propagate(
     decoupled from the transverse motion under either wall model, so each
     is advanced over the whole interval on its own.  Hard walls are exact
     and event-driven: each atom flies its free-fall parabola from one wall
-    hit to the next (the first root of the quartic rho(t)^2 = R^2), and hard
-    end caps fold the axial motion analytically.  Soft walls and soft end
-    caps integrate -grad U with velocity-Verlet in sub-steps of ``dt``, in
-    place on contiguous (2, n) transverse and (n,) axial copies; ``dt`` is
-    checked only there, and where both are hard it is not read.  Returns a
-    new ensemble and leaves the input alone, so a consumer calls it once per
-    sample interval and folds over the states it returns; no trajectory is
-    stored.
+    hit to the next (the first root of the quartic rho(t)^2 = R^2).  Soft
+    walls integrate -grad U with velocity-Verlet in sub-steps of ``dt``, in
+    place on a contiguous (2, n) transverse copy; ``dt`` is checked only
+    there, and hard walls do not read it.  The hard end caps fold the axial
+    motion exactly.  Returns a new ensemble and leaves the input alone, so
+    a consumer calls it once per sample interval and folds over the states
+    it returns; no trajectory is stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
-    if "soft" in (trap.wall_model, trap.endcap_model):
+    if trap.wall_model == "soft":
         if dt <= 0:
             raise ValueError("dt must be positive")
         _check_substep(ensemble.velocities, dt, trap.ring.wall_width)
@@ -389,32 +390,20 @@ def propagate(
         return AtomEnsemble(pos, vel)
 
     interval = t_end - t_start
-    half = trap.length / 2.0
-    m, k_B = CONSTANTS.m_atom, CONSTANTS.k_B
     if trap.wall_model == "hard":
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
         def transverse(xy):
-            acc = transverse_force(xy.T, trap.ring, k_B).T
-            acc /= m
+            acc = transverse_force(xy.T, trap.ring, CONSTANTS.k_B).T
+            acc /= CONSTANTS.m_atom
             acc[1] -= gravity
             return acc
 
         xy, vxy = pos[:, :2].T.copy(), vel[:, :2].T.copy()
         _verlet(xy, vxy, transverse, interval, dt)
         pos[:, :2], vel[:, :2] = xy.T, vxy.T
-    if trap.endcap_model == "hard":
-        pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
-                                           vel[:, 2], half)
-    else:
-        def axial(z):
-            acc = axial_force(z, trap.ring, half, k_B)
-            acc /= m
-            return acc
-
-        z, vz = pos[:, 2].copy(), vel[:, 2].copy()
-        _verlet(z, vz, axial, interval, dt)
-        pos[:, 2], vel[:, 2] = z, vz
+    pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
+                                       vel[:, 2], trap.length / 2.0)
     return AtomEnsemble(pos, vel)
 
 

@@ -3,7 +3,7 @@
 The trap is a cylinder (axis = z, gravity along -y).  Walls are either
 hard (specular) or soft: an annular Gaussian flank of peak depth
 ``peak_depth`` that is clamped at the peak outside the ring radius so
-atoms cannot leak out through the model's tail.
+atoms cannot leak out through the model's tail.  The end caps are hard.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ class RingPotential:
 
     ring_radius: float = 95e-6    # m
     wall_width: float = 20e-6     # m, 1/e^2 half-width of the annular intensity
-    peak_depth: float = 45e-6     # K, also the soft end caps' depth
+    peak_depth: float = 45e-6     # K
 
     def __post_init__(self):
         if self.ring_radius <= 0 or self.wall_width <= 0:
@@ -39,8 +39,7 @@ class TrapGeometry:
 
     radius: float = 95e-6         # m
     length: float = 3e-3          # m
-    wall_model: str = "hard"      # "hard" | "soft"
-    endcap_model: str = "hard"    # "hard" | "soft"
+    wall_model: str = "hard"      # "hard" | "soft"; the end caps are hard
     ring: RingPotential | None = None
 
     def __post_init__(self):
@@ -48,9 +47,7 @@ class TrapGeometry:
             raise ValueError("radius and length must be positive")
         if self.wall_model not in ("hard", "soft"):
             raise ValueError("wall_model must be 'hard' or 'soft'")
-        if self.endcap_model not in ("hard", "soft"):
-            raise ValueError("endcap_model must be 'hard' or 'soft'")
-        if (self.wall_model == "soft" or self.endcap_model == "soft") and self.ring is None:
+        if self.wall_model == "soft" and self.ring is None:
             object.__setattr__(self, "ring", RingPotential(ring_radius=self.radius))
 
 
@@ -97,7 +94,9 @@ def transverse_force(xy, ring: RingPotential, k_B: float):
 
 
 def axial_force(z, ring: RingPotential, half_length: float, k_B: float):
-    """Force (N) along z from soft end-cap sheets (same flank width as the ring)."""
+    """Force (N) along z from soft end-cap sheets (same flank width as the
+    ring).  No trap reads it, as the end caps are hard; the benchmark's
+    tracer (``bench/tracer.py``) still patches it by name in ``ensemble``."""
     z = np.asarray(z, dtype=float)
     grad = _flank_gradient(np.abs(z), half_length, ring)
     grad *= -k_B

@@ -112,6 +112,14 @@ class ShiftField:
         return self.at_radius(np.hypot(xy[..., 0], xy[..., 1]))
 
 
+def soft_wall_dt(wall_width: float) -> float:
+    """Verlet sub-step (s), at most DEFAULT_DT, that resolves a soft flank of
+    ``wall_width`` in >= ~12 steps at 5 sigma of CALIBRATION_TEMPERATURE."""
+    sigma_v = math.sqrt(CONSTANTS.k_B * CALIBRATION_TEMPERATURE
+                        / CONSTANTS.m_atom)
+    return min(DEFAULT_DT, 0.08 * wall_width / (5.0 * sigma_v))
+
+
 def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
     """First crossing of 1/e, linearly interpolated; inf if never crossed."""
     target = ONE_OVER_E
@@ -200,17 +208,13 @@ def calibrate_wall_width(
     # the candidates change only the wall width, which sampling ignores
     cloud = sample_thermal_ensemble(n_atoms, trap, CALIBRATION_TEMPERATURE,
                                     seed=seed)
-    sigma_v = math.sqrt(CONSTANTS.k_B * CALIBRATION_TEMPERATURE
-                        / CONSTANTS.m_atom)
 
     def tau_of(width: float) -> float:
         cand_ring = replace(ring, wall_width=width)
-        # soft-wall substep stability: resolve the wall in >= ~12 steps
-        dt = min(DEFAULT_DT, 0.08 * width / (5.0 * sigma_v))
         times, c = simulate_coherence(
             ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
             t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0),
-            dt=dt, stop_below=ONE_OVER_E)
+            dt=soft_wall_dt(width), stop_below=ONE_OVER_E)
         return one_over_e_time(times, c)
 
     lo, hi = bracket

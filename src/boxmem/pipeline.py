@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constants import CONSTANTS
-from .ensemble import propagate, sample_thermal_ensemble
+from .ensemble import DEFAULT_DT, propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
 from .geometry import RingPotential, TrapGeometry
 from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
@@ -70,7 +70,7 @@ class ScenarioConfig:
     grid_extent: float = _si(150e-6, "um")
     grid_resolution: int = 128
     kde_bandwidth: float = _si(10e-6, "um")
-    dt: float = _si(5e-6, "us")         # soft-wall sub-step; hard walls ignore
+    dt: float = _si(DEFAULT_DT, "us")   # soft-wall sub-step; hard walls ignore
     seed: int = 0
     workers: int = 1                    # no effect: the KDE runs in one thread
 

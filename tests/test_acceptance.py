@@ -18,7 +18,7 @@ from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 from boxmem.lightshift import (CompensationSpec, ShiftField,
                                calibrate_wall_width, one_over_e_time,
                                optimal_compensation_power, residual_lifetime,
-                               simulate_coherence)
+                               simulate_coherence, soft_wall_dt)
 from boxmem.pipeline import curve_to_csv, preset, run_scenario
 from boxmem.render import render_svg
 from boxmem.spinwave import (collinear_delta_k, density_estimate, mode_overlap,
@@ -179,11 +179,9 @@ def _soft_tau(width, n_atoms=10_000, seed=0):
     ring = RingPotential(wall_width=width)
     trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
     field = ShiftField(ring)
-    sigma_v = math.sqrt(CONSTANTS.k_B * 15e-6 / CONSTANTS.m_atom)
-    dt = min(5e-6, 0.08 * width / (5.0 * sigma_v))
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
     times, c = simulate_coherence(field, trap, ens, t_max=3e-3,
-                                  sample_dt=2e-5, dt=dt)
+                                  sample_dt=2e-5, dt=soft_wall_dt(width))
     return one_over_e_time(times, c)
 
 

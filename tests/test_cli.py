@@ -216,6 +216,20 @@ def test_fit_amplitude_overflow_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_fit_squared_residual_overflow_exits_3(tmp_path, capsys):
+    # every value is finite, but the squared residuals overflow, so the
+    # standard errors and the rss would print as nan and inf
+    path = tmp_path / "c.csv"
+    path.write_text("t_ms,R_overlap,dephasing_factor,loss_factor,R_total\n"
+                    "0,1,1,1,1e300\n1,1,1,1,1e299\n2,1,1,1,1e298\n")
+    assert main(["fit", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: non-finite fit: amplitude=1e+300 amplitude_err=nan;"
+        " tau_ms=0.434294 tau_ms_err=nan; rss=inf\n")
+
+
 @pytest.mark.parametrize("exc", [OverflowError, ZeroDivisionError,
                                  FloatingPointError])
 def test_arithmetic_error_exits_3(tmp_path, capsys, monkeypatch, exc):

@@ -411,14 +411,13 @@ def test_bounce_return_time():
 
 
 def test_substep_guard():
-    # a Verlet sub-step must resolve the soft flank, of a wall or a cap
-    for trap in (TrapGeometry(wall_model="soft"),
-                 TrapGeometry(endcap_model="soft")):
-        ens = sample_thermal_ensemble(100, trap, T15, seed=9)
-        with pytest.raises(ConfigurationError, match="wall-crossing"):
-            propagate(ens, 0.0, 1e-3, dt=1e-3, trap=trap)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            propagate(ens, 0.0, 1e-3, dt=0.0, trap=trap)
+    # a Verlet sub-step must resolve the soft flank of the wall
+    trap = TrapGeometry(wall_model="soft")
+    ens = sample_thermal_ensemble(100, trap, T15, seed=9)
+    with pytest.raises(ConfigurationError, match="wall-crossing"):
+        propagate(ens, 0.0, 1e-3, dt=1e-3, trap=trap)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        propagate(ens, 0.0, 1e-3, dt=0.0, trap=trap)
 
 
 def test_hard_walls_do_not_read_dt():
@@ -432,26 +431,10 @@ def test_hard_walls_do_not_read_dt():
 
 
 @pytest.mark.parametrize("wall_model", ["hard", "soft"])
-def test_soft_end_cap_turns_the_atom_back(wall_model):
-    # axial motion is advanced apart from the transverse motion, under
-    # either wall model; 0.05 m/s is 13 uK of axial energy, below the cap
-    trap = TrapGeometry(wall_model=wall_model, endcap_model="soft")
-    ens = AtomEnsemble([[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.05]])
-    out = propagate(ens, 0.0, 1e-3, trap=trap, gravity=0.0)
-    assert out.positions[0, 2] == pytest.approx(5e-5, rel=1e-9)
-    # out to the cap at z = 1.5 mm after about 30 ms, then back
-    out = propagate(ens, 0.0, 40e-3, trap=trap, gravity=0.0)
-    assert out.velocities[0, 2] == pytest.approx(-0.05, rel=1e-6)
-    assert 0.0 < out.positions[0, 2] < trap.length / 2 - 1e-4
-    assert np.array_equal(out.positions[0, :2], [0.0, 0.0])
-
-
-@pytest.mark.parametrize("wall_model", ["hard", "soft"])
-@pytest.mark.parametrize("endcap_model", ["hard", "soft"])
-def test_propagate_leaves_its_input_alone(wall_model, endcap_model):
+def test_propagate_leaves_its_input_alone(wall_model):
     # run_scenario keeps the first sample's positions as the phi_2 origin
     # while it propagates on from them
-    trap = TrapGeometry(wall_model=wall_model, endcap_model=endcap_model)
+    trap = TrapGeometry(wall_model=wall_model)
     ens = sample_thermal_ensemble(500, trap, T15, seed=12)
     pos, vel = ens.positions.copy(), ens.velocities.copy()
     out = propagate(ens, 0.0, 2e-3, trap=trap)

@@ -4,7 +4,8 @@
 update their buffers in place.  The references below are the np.where
 forces and the Verlet that builds new arrays every step; the in-place
 forms keep every element's operation order, so they must agree exactly.
-The last tests pin the calls that the benchmark's tracer counts.
+The end caps are hard, so propagate folds z exactly and calls no axial
+force.  The last tests pin the calls that the benchmark's tracer counts.
 """
 
 import inspect
@@ -19,12 +20,11 @@ from boxmem.ensemble import (AtomEnsemble, _fold_axial, propagate,
                              sample_thermal_ensemble)
 from boxmem.geometry import (RingPotential, TrapGeometry, _flank_gradient,
                              axial_force, transverse_force)
-from boxmem.lightshift import ShiftField, simulate_coherence
+from boxmem.lightshift import ShiftField, simulate_coherence, soft_wall_dt
 
 RING = RingPotential()
 HALF = TrapGeometry().length / 2.0
 K_B = CONSTANTS.k_B
-SIGMA_V = np.sqrt(K_B * 15e-6 / CONSTANTS.m_atom)
 
 
 def _flank_where(s, edge, ring):
@@ -78,26 +78,14 @@ def _propagate_soft_reference(ensemble, t_start, t_end, dt, trap, gravity):
 
     pos[:, :2], vel[:, :2] = _verlet_allocating(pos[:, :2], vel[:, :2],
                                                 transverse, interval, dt)
-    if trap.endcap_model == "hard":
-        pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
-                                           vel[:, 2], half)
-    else:
-        pos[:, 2], vel[:, 2] = _verlet_allocating(
-            pos[:, 2], vel[:, 2],
-            lambda z: _axial_force_where(z, trap.ring, half, K_B) / m,
-            interval, dt)
+    pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
+                                       vel[:, 2], half)
     return AtomEnsemble(pos, vel)
 
 
-def _soft_trap(width, endcap_model):
+def _soft_trap(width):
     ring = replace(RING, wall_width=width)
-    return TrapGeometry(radius=ring.ring_radius, wall_model="soft",
-                        endcap_model=endcap_model, ring=ring)
-
-
-def _calibration_dt(width):
-    # calibrate_wall_width's sub-step for this width
-    return min(ensemble.DEFAULT_DT, 0.08 * width / (5.0 * SIGMA_V))
+    return TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
 
 
 def test_forces_match_where_forms():
@@ -124,12 +112,11 @@ def test_forces_match_where_forms():
         assert _flank_gradient(s, r, RING) == _flank_where(s, r, RING)
 
 
-@pytest.mark.parametrize("endcap_model", ["hard", "soft"])
 @pytest.mark.parametrize("width", [5e-6, 20e-6, 60e-6])
-def test_soft_wall_propagate_matches_allocating_verlet(width, endcap_model):
-    trap = _soft_trap(width, endcap_model)
+def test_soft_wall_propagate_matches_allocating_verlet(width):
+    trap = _soft_trap(width)
     ens = sample_thermal_ensemble(300, trap, 15e-6, seed=21)
-    dt = _calibration_dt(width)
+    dt = soft_wall_dt(width)
     got = propagate(ens, 0.0, 3e-3, dt=dt, trap=trap)
     want = _propagate_soft_reference(ens, 0.0, 3e-3, dt=dt, trap=trap,
                                      gravity=CONSTANTS.g_earth)
@@ -137,15 +124,14 @@ def test_soft_wall_propagate_matches_allocating_verlet(width, endcap_model):
     assert np.array_equal(got.velocities, want.velocities)
 
 
-@pytest.mark.parametrize("endcap_model", ["hard", "soft"])
-def test_coherence_matches_allocating_verlet(monkeypatch, endcap_model):
+def test_coherence_matches_allocating_verlet(monkeypatch):
     width = 20e-6
-    trap = _soft_trap(width, endcap_model)
+    trap = _soft_trap(width)
     ens = sample_thermal_ensemble(500, trap, 15e-6, seed=22)
 
     def run():
         return simulate_coherence(ShiftField(trap.ring), trap, ens,
-                                  t_max=1e-3, dt=_calibration_dt(width))
+                                  t_max=1e-3, dt=soft_wall_dt(width))
 
     got = run()[1]
     monkeypatch.setattr(lightshift, "propagate", _propagate_soft_reference)
@@ -167,25 +153,24 @@ def _counting(monkeypatch, module, name):
 
 
 def test_coherence_propagates_every_atom_once_per_interval(monkeypatch):
-    trap = _soft_trap(20e-6, "hard")
+    trap = _soft_trap(20e-6)
     ens = sample_thermal_ensemble(200, trap, 15e-6, seed=23)
     calls = _counting(monkeypatch, lightshift, "propagate")
     times, _ = simulate_coherence(ShiftField(trap.ring), trap, ens,
-                                  t_max=2e-4, dt=_calibration_dt(20e-6))
+                                  t_max=2e-4, dt=soft_wall_dt(20e-6))
     assert len(calls) == len(times) - 1
     assert [len(c["ensemble"]) for c in calls] == [len(ens)] * len(calls)
     assert [(c["t_start"], c["t_end"]) for c in calls] \
         == list(zip(times[:-1], times[1:]))
 
 
-@pytest.mark.parametrize("endcap_model", ["hard", "soft"])
-def test_soft_wall_force_calls_per_substep(monkeypatch, endcap_model):
-    trap = _soft_trap(20e-6, endcap_model)
+def test_soft_wall_force_calls_per_substep(monkeypatch):
+    trap = _soft_trap(20e-6)
     ens = sample_thermal_ensemble(200, trap, 15e-6, seed=24)
     radial = _counting(monkeypatch, ensemble, "transverse_force")
     axial = _counting(monkeypatch, ensemble, "axial_force")
     steps = 16                    # powers of two: no rounding in the count
     propagate(ens, 0.0, 2.0**-13, dt=2.0**-17, trap=trap)
     assert len(radial) == steps + 1
-    assert len(axial) == (steps + 1 if endcap_model == "soft" else 0)
+    assert len(axial) == 0
     assert all(len(c["xy"]) == len(ens) for c in radial)
