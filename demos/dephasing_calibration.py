@@ -19,7 +19,7 @@ from boxmem.lightshift import (ONE_OVER_E, ShiftField, calibrate_wall_width,
 
 def tau_for_width(width, n_atoms=5000):
     ring = RingPotential(wall_width=width)
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6)
     # the 1/e time reads C(t) only up to its first sample below 1/e
     times, c = simulate_coherence(ShiftField(ring), trap, ens, t_max=3e-3,

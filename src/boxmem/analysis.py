@@ -172,7 +172,7 @@ def fit_double_exponential(points_t, points_y) -> FitResult:
         t1, t2 = t2, t1
         e1, e2 = e2, e1
         f = 1.0 - f
-    degenerate = (min(f, 1.0 - f) > 1e-3
+    degenerate = (min(abs(f), abs(1.0 - f)) > 1e-3
                   and abs(t1 - t2) <= 0.1 * max(abs(t1), abs(t2)))
     if t1 <= 0 or t2 <= 0:
         converged = False

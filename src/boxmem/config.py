@@ -16,8 +16,7 @@ from .errors import ConfigurationError
 from .pipeline import ScenarioConfig, preset
 
 # file unit suffix -> SI factor
-_UNITS = {"uK": 1e-6, "um": 1e-6, "mm": 1e-3, "ms": 1e-3, "us": 1e-6,
-          "m_s2": 1.0}
+_UNITS = {"uK": 1e-6, "um": 1e-6, "mm": 1e-3, "ms": 1e-3, "m_s2": 1.0}
 MAX_SAMPLE_TIMES = 100_000  # a longer time grid is taken for a typo
 
 

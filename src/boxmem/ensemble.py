@@ -86,8 +86,8 @@ def sample_thermal_ensemble(
         raise ValueError("n must be >= 1")
     if not np.isfinite(temperature) or temperature < 0:
         raise ValueError("temperature must be finite and non-negative")
-    if not np.isfinite(gravity):
-        raise ValueError("gravity must be finite")
+    if not (np.isfinite(gravity) and gravity >= 0):
+        raise ValueError("gravity must be finite and non-negative")
     if spatial not in ("thermal", "uniform"):
         raise ValueError("spatial must be 'thermal' or 'uniform'")
 
@@ -365,21 +365,23 @@ def propagate(
 ) -> AtomEnsemble:
     """Advance the atoms ballistically from t_start to t_end.
 
-    Constant gravity, no interatomic interactions.  The axial motion is
-    decoupled from the transverse motion under either wall model, so each
-    is advanced over the whole interval on its own.  Hard walls are exact
-    and event-driven: each atom flies its free-fall parabola from one wall
-    hit to the next (the first root of the quartic rho(t)^2 = R^2).  Soft
-    walls integrate -grad U with velocity-Verlet in sub-steps of ``dt``, in
-    place on a contiguous (2, n) transverse copy; ``dt`` is checked only
-    there, and hard walls do not read it.  The hard end caps fold the axial
-    motion exactly.  Returns a new ensemble and leaves the input alone, so
-    a consumer calls it once per sample interval and folds over the states
-    it returns; no trajectory is stored.
+    Constant gravity g >= 0 along -y, no interatomic interactions.  The
+    axial motion is decoupled from the transverse motion, so each is
+    advanced over the whole interval on its own.  Hard walls are exact and
+    event-driven: each atom flies its free-fall parabola from one wall hit
+    to the next (the first root of the quartic rho(t)^2 = R^2).  A trap
+    with a ring has soft walls, which integrate -grad U with velocity-Verlet
+    in sub-steps of ``dt``, in place on a contiguous (2, n) transverse copy;
+    ``dt`` is checked only there, and hard walls do not read it.  The hard
+    end caps fold the axial motion exactly.  Returns a new ensemble and
+    leaves the input alone, so a consumer calls it once per sample interval
+    and folds over the states it returns; no trajectory is stored.
     """
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
-    if trap.wall_model == "soft":
+    if gravity < 0:
+        raise ValueError("gravity must be non-negative (it acts along -y)")
+    if trap.ring is not None:
         if dt <= 0:
             raise ValueError("dt must be positive")
         _check_substep(ensemble.velocities, dt, trap.ring.wall_width)
@@ -390,7 +392,7 @@ def propagate(
         return AtomEnsemble(pos, vel)
 
     interval = t_end - t_start
-    if trap.wall_model == "hard":
+    if trap.ring is None:
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
         def transverse(xy):

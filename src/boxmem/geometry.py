@@ -1,9 +1,10 @@
 """Trap geometry and the phenomenological hollow-beam potential.
 
-The trap is a cylinder (axis = z, gravity along -y).  Walls are either
-hard (specular) or soft: an annular Gaussian flank of peak depth
-``peak_depth`` that is clamped at the peak outside the ring radius so
-atoms cannot leak out through the model's tail.  The end caps are hard.
+The trap is a cylinder (axis = z, gravity along -y).  Walls are hard
+(specular), or soft where the trap carries a ring: an annular Gaussian
+flank of peak depth ``peak_depth`` clamped at the peak outside the ring
+radius, so atoms cannot leak out through the model's tail.  The end caps
+are hard.
 """
 
 from dataclasses import dataclass
@@ -39,16 +40,11 @@ class TrapGeometry:
 
     radius: float = 95e-6         # m
     length: float = 3e-3          # m
-    wall_model: str = "hard"      # "hard" | "soft"; the end caps are hard
-    ring: RingPotential | None = None
+    ring: RingPotential | None = None   # a ring's flank makes the wall soft
 
     def __post_init__(self):
         if self.radius <= 0 or self.length <= 0:
             raise ValueError("radius and length must be positive")
-        if self.wall_model not in ("hard", "soft"):
-            raise ValueError("wall_model must be 'hard' or 'soft'")
-        if self.wall_model == "soft" and self.ring is None:
-            object.__setattr__(self, "ring", RingPotential(ring_radius=self.radius))
 
 
 def potential_at(radius, ring: RingPotential):

@@ -204,7 +204,7 @@ def calibrate_wall_width(
     if target_tau <= 0:
         raise ValueError("target_tau must be positive")
 
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     # the candidates change only the wall width, which sampling ignores
     cloud = sample_thermal_ensemble(n_atoms, trap, CALIBRATION_TEMPERATURE,
                                     seed=seed)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constants import CONSTANTS
-from .ensemble import DEFAULT_DT, propagate, sample_thermal_ensemble
+from .ensemble import propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
-from .geometry import RingPotential, TrapGeometry
+from .geometry import TrapGeometry
 from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
                        assign_excitation, curve_column, density_estimate,
                        efficiency_total, mode_overlap)
@@ -46,15 +46,13 @@ def _si(default, file_unit):
 
 @dataclass
 class ScenarioConfig:
-    """Scenario settings in SI units (K, m, s, m/s^2)."""
+    """Scenario settings in SI units (K, m, s, m/s^2).  The walls are hard;
+    the soft ring flank is the light-shift calibration's."""
 
     atoms: int = 100_000
     temperature: float = _si(15e-6, "uK")
     trap_radius: float = _si(95e-6, "um")
     trap_length: float = _si(3e-3, "mm")
-    wall_model: str = "hard"
-    wall_width: float = _si(20e-6, "um")    # soft-wall / shift-field flank
-    trap_depth: float = _si(45e-6, "uK")
     gravity_on: bool = True
     gravity: float = _si(CONSTANTS.g_earth, "m_s2")
     mode_offset_x: float = _si(0.0, "um")
@@ -70,7 +68,6 @@ class ScenarioConfig:
     grid_extent: float = _si(150e-6, "um")
     grid_resolution: int = 128
     kde_bandwidth: float = _si(10e-6, "um")
-    dt: float = _si(DEFAULT_DT, "us")   # soft-wall sub-step; hard walls ignore
     seed: int = 0
     workers: int = 1                    # no effect: the KDE runs in one thread
 
@@ -84,10 +81,8 @@ class ScenarioConfig:
             ("temperature", self.temperature >= 0, "must be non-negative"),
             ("trap_radius", self.trap_radius > 0, "must be positive"),
             ("trap_length", self.trap_length > 0, "must be positive"),
-            ("wall_model", self.wall_model in ("hard", "soft"),
-             "must be 'hard' or 'soft'"),
-            ("wall_width", self.wall_width > 0, "must be positive"),
-            ("trap_depth", self.trap_depth >= 0, "must be non-negative"),
+            ("gravity", self.gravity >= 0,
+             "must be non-negative (it acts along -y)"),
             ("mode_waist", self.mode_waist > 0, "must be positive"),
             ("spatial", self.spatial in ("thermal", "uniform"),
              "must be 'thermal' or 'uniform'"),
@@ -105,7 +100,6 @@ class ScenarioConfig:
              f"must lie in [8, {MAX_GRID_RESOLUTION}]"),
             ("kde_bandwidth", 0 < self.kde_bandwidth < self.grid_extent,
              "must be positive and below grid_extent"),
-            ("dt", self.dt > 0, "must be positive"),
             ("seed", 0 <= self.seed <= 2**64 - 1,
              "must lie in [0, 2**64 - 1]"),
             ("workers", 1 <= self.workers <= MAX_WORKERS,
@@ -116,11 +110,7 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name}: {msg}")
 
     def trap(self) -> TrapGeometry:
-        ring = RingPotential(ring_radius=self.trap_radius,
-                             wall_width=self.wall_width,
-                             peak_depth=self.trap_depth)
-        return TrapGeometry(radius=self.trap_radius, length=self.trap_length,
-                            wall_model=self.wall_model, ring=ring)
+        return TrapGeometry(radius=self.trap_radius, length=self.trap_length)
 
     def signal_mode(self) -> ModeSpec:
         return ModeSpec(center=(self.mode_offset_x, self.mode_offset_y),
@@ -201,8 +191,7 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     current, t = ens, 0.0
     for i, ti in enumerate(times):
         if ti > t:
-            current = propagate(current, t, ti, dt=config.dt, trap=trap,
-                                gravity=gravity)
+            current = propagate(current, t, ti, trap=trap, gravity=gravity)
             t = ti
         positions = current.positions
         grids = density_estimate(record.weights, positions[:, :2],

@@ -164,7 +164,7 @@ def test_criterion_06_spinwave_wavelength(capsys):
     _, lam = spinwave_wavevector(collinear_delta_k(), np.zeros(3))
     lam_ok = abs(lam - 4.39e-2) <= 0.02 * 4.39e-2
 
-    cfg = preset("longdecay", atoms=10_000, dt=2e-5)
+    cfg = preset("longdecay", atoms=10_000)
     res = run_scenario(cfg)
     tau_phi2 = one_over_e_time(res.curve.times, res.phi2_coherence)
     phi2_ok = tau_phi2 >= 100e-3
@@ -177,7 +177,7 @@ def test_criterion_06_spinwave_wavelength(capsys):
 
 def _soft_tau(width, n_atoms=10_000, seed=0):
     ring = RingPotential(wall_width=width)
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     field = ShiftField(ring)
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
     times, c = simulate_coherence(field, trap, ens, t_max=3e-3,
@@ -276,7 +276,7 @@ def test_criterion_10_invariant_suite(capsys):
 
     # soft-wall total-energy drift over 100 ms
     ring = RingPotential()
-    soft = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    soft = TrapGeometry(radius=ring.ring_radius, ring=ring)
     ens_s = sample_thermal_ensemble(200, soft, 15e-6, seed=2)
 
     def energy(e):

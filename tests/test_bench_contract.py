@@ -15,7 +15,7 @@ import pytest
 
 from boxmem import ensemble, lightshift, pipeline, spinwave
 from boxmem.ensemble import AtomEnsemble, sample_thermal_ensemble
-from boxmem.geometry import TrapGeometry
+from boxmem.geometry import RingPotential, TrapGeometry
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -55,7 +55,7 @@ def test_counters_bind_their_arguments(tracer):
 def test_traced_calls_reach_every_layer(tracer):
     # called through their modules, as the benchmark's workloads call them
     cfg = pipeline.preset("centered", atoms=200, times=np.array([0.0, 4e-4]))
-    soft = TrapGeometry(wall_model="soft")
+    soft = TrapGeometry(ring=RingPotential())
     cloud = sample_thermal_ensemble(50, soft, 15e-6)
     with tracer.Tracer() as t:
         pipeline.run_scenario(cfg)

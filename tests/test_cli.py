@@ -96,7 +96,7 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "mode_offset_y_um = nan", "mode_offset_x_um = inf",
     "trap_radius_um = inf", "temperature_uK = nan", "mode_waist_um = nan",
-    "kde_bandwidth_um = inf", "tau_dephase_ms = nan", "dt_us = inf",
+    "kde_bandwidth_um = inf", "tau_dephase_ms = nan", "trap_length_mm = inf",
     "loss_fast_fraction = nan", "workers = 0", "workers = 100000",
     "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5",
     "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan",
@@ -143,12 +143,15 @@ def test_simulate_seed_out_of_range_exits_2(tmp_path, capsys, seed):
 
 
 def test_simulate_nonfinite_gravity_exits_2(tmp_path, capsys):
-    # the barometric rejection sampler never accepts at NaN gravity
+    # the barometric rejection sampler never accepts at NaN gravity, and
+    # gravity acts along -y, so a negative one is refused too
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("[scenario]\natoms = 100\ngravity_m_s2 = nan\n")
-    assert main(["simulate", "--config", str(cfg),
-                 "--out", str(tmp_path / "c.csv")]) == 2
-    assert "gravity:" in capsys.readouterr().err
+    for g in ("nan", "-9.81"):
+        cfg.write_text(f"[scenario]\natoms = 100\ngravity_m_s2 = {g}\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "gravity:" in err and "Traceback" not in err
 
 
 def test_fit_exp(tmp_path, capsys):
@@ -299,12 +302,10 @@ _SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
     ("compensation --power 1.9 --trap-nm 775 --tau0-ms 0", "", 2),
     ("extrema --input {csv} --noise-floor nan", "", 2),
     ("extrema --input {csv} --noise-floor -0.1", "", 2),
+    # scenarios run in the hard box: the soft-wall keys are unknown
     ("simulate --config {cfg} --out {out}", "dt_us = 0", 2),
-    # hard walls fly exactly from bounce to bounce and read no sub-step
-    ("simulate --config {cfg} --out {out}", "dt_us = 1000", 0),
-    # a soft-walled preset runs on the default sub-step
     ("simulate --config {cfg} --out {out}",
-     "preset = centered\nwall_model = soft\ntrap_depth_uK = 200", 0),
+     "preset = centered\nwall_model = soft", 2),
 ])
 def test_cli_input_table(tmp_path, capsys, argv, lines, code):
     csv, cfg, out = tmp_path / "c.csv", tmp_path / "s.cfg", tmp_path / "o.csv"

@@ -86,6 +86,11 @@ def test_invalid_args():
         sample_thermal_ensemble(10, TRAP, T15, spatial="gaussian")
     with pytest.raises(ValueError):
         sample_thermal_ensemble(10, TRAP, T15, gravity=math.nan)
+    with pytest.raises(ValueError):     # gravity acts along -y
+        sample_thermal_ensemble(10, TRAP, T15, gravity=-9.81)
+    ens = sample_thermal_ensemble(10, TRAP, T15)
+    with pytest.raises(ValueError, match="gravity"):
+        propagate(ens, 0.0, 1e-3, trap=TRAP, gravity=-9.81)
 
 
 # velocity components up to ~5 thermal sigma at 15 uK
@@ -357,11 +362,15 @@ def test_first_root_grazing_hit():
 
 def test_touch_from_outside_is_no_hit():
     # a double root of rho^2 - R^2 >= 0 is a touch, not a rising root; the
-    # atom slides along the outside of the wall, which propagate refuses
-    g = -CONSTANTS.g_earth
-    coef = _hit_coefficients([_TANGENT_ON_WALL], g, on_wall=True)
-    assert _first_root(coef, np.array([0.0078125]))[0] == math.inf
+    # atom slides along the outside of the wall, which propagate refuses.
+    # Mirrored in y, the state falls under g >= 0 with the same polynomial
+    g = CONSTANTS.g_earth
     x, y, vx, vy = _TANGENT_ON_WALL
+    y, vy = -y, -vy
+    coef = _hit_coefficients([(x, y, vx, vy)], g, on_wall=True)
+    assert np.array_equal(
+        coef, _hit_coefficients([_TANGENT_ON_WALL], -g, on_wall=True))
+    assert _first_root(coef, np.array([0.0078125]))[0] == math.inf
     ens = AtomEnsemble(np.array([[x, y, 0.0]]), np.array([[vx, vy, 0.0]]))
     with pytest.raises(NumericalError):
         propagate(ens, 0.0, 0.0078125, trap=TRAP, gravity=g)
@@ -412,7 +421,7 @@ def test_bounce_return_time():
 
 def test_substep_guard():
     # a Verlet sub-step must resolve the soft flank of the wall
-    trap = TrapGeometry(wall_model="soft")
+    trap = TrapGeometry(ring=RingPotential())
     ens = sample_thermal_ensemble(100, trap, T15, seed=9)
     with pytest.raises(ConfigurationError, match="wall-crossing"):
         propagate(ens, 0.0, 1e-3, dt=1e-3, trap=trap)
@@ -430,11 +439,12 @@ def test_hard_walls_do_not_read_dt():
         assert np.array_equal(out.velocities, ref.velocities)
 
 
-@pytest.mark.parametrize("wall_model", ["hard", "soft"])
-def test_propagate_leaves_its_input_alone(wall_model):
+@pytest.mark.parametrize("ring", [None, RingPotential()],
+                         ids=["hard", "soft"])
+def test_propagate_leaves_its_input_alone(ring):
     # run_scenario keeps the first sample's positions as the phi_2 origin
     # while it propagates on from them
-    trap = TrapGeometry(wall_model=wall_model)
+    trap = TrapGeometry(ring=ring)
     ens = sample_thermal_ensemble(500, trap, T15, seed=12)
     pos, vel = ens.positions.copy(), ens.velocities.copy()
     out = propagate(ens, 0.0, 2e-3, trap=trap)
@@ -448,7 +458,7 @@ def test_propagate_leaves_its_input_alone(wall_model):
 
 def test_soft_wall_energy_drift_100ms():
     ring = RingPotential()
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     ens = sample_thermal_ensemble(300, trap, T15, seed=11)
     g = CONSTANTS.g_earth
 

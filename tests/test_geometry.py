@@ -82,10 +82,4 @@ def test_trap_geometry_validation():
     with pytest.raises(ValueError):
         TrapGeometry(radius=0.0)
     with pytest.raises(ValueError):
-        TrapGeometry(wall_model="squishy")
-
-
-def test_soft_trap_gets_default_ring():
-    trap = TrapGeometry(wall_model="soft")
-    assert trap.ring is not None
-    assert trap.ring.ring_radius == trap.radius
+        TrapGeometry(length=-1e-3)

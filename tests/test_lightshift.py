@@ -89,7 +89,7 @@ def test_shift_field_epsilon_scaling():
 
 def test_coherence_starts_at_one_and_bounded():
     ring = RingPotential()
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     field = ShiftField(ring)
     ens = sample_thermal_ensemble(500, trap, 15e-6, seed=1)
     times, c = simulate_coherence(field, trap, ens, t_max=1.5e-3)
@@ -152,7 +152,7 @@ def test_calibration_unreachable_target_reported(monkeypatch):
 
 def _soft_trap_and_cloud(n_atoms, seed):
     ring = RingPotential()
-    trap = TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     return ShiftField(ring), trap, sample_thermal_ensemble(n_atoms, trap,
                                                            15e-6, seed=seed)
 

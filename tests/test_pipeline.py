@@ -29,7 +29,7 @@ def test_presets_exist_and_validate():
 
 
 def test_config_validation_messages():
-    bad = [small_config(atoms=0), small_config(wall_model="mushy"),
+    bad = [small_config(atoms=0), small_config(gravity=-9.81),
            small_config(spatial="gauss"), small_config(workers=0),
            small_config(workers=MAX_WORKERS + 1),
            small_config(times=np.array([2e-3, 1e-3])),
@@ -71,8 +71,7 @@ def test_phi2_coherence_matches_propagated_positions():
     expected, current, t = [], ens, 0.0
     for ti in cfg.times:
         if ti > t:
-            current = propagate(current, t, ti, dt=cfg.dt, trap=trap,
-                                gravity=g)
+            current = propagate(current, t, ti, trap=trap, gravity=g)
             t = ti
         phase = (current.positions - ens.positions) @ rec.delta_k
         expected.append(abs(np.sum(rec.weights**2 * np.exp(1j * phase))))
@@ -172,9 +171,6 @@ t_step_ms = 0.5
         ("temperature_uK", "12", "temperature", 12e-6),
         ("trap_radius_um", "90", "trap_radius", 90e-6),
         ("trap_length_mm", "2.5", "trap_length", 2.5e-3),
-        ("wall_model", "soft", "wall_model", "soft"),
-        ("wall_width_um", "18", "wall_width", 18e-6),
-        ("trap_depth_uK", "40", "trap_depth", 40e-6),
         ("gravity", "on", "gravity_on", True),
         ("gravity_m_s2", "9.5", "gravity", 9.5),
         ("mode_offset_x_um", "-5", "mode_offset_x", -5e-6),
@@ -188,7 +184,6 @@ t_step_ms = 0.5
         ("grid_extent_um", "140", "grid_extent", 140e-6),
         ("grid_resolution", "64", "grid_resolution", 64),
         ("kde_bandwidth_um", "9", "kde_bandwidth", 9e-6),
-        ("dt_us", "4", "dt", 4e-6),
         ("seed", "11", "seed", 11),
         ("workers", "2", "workers", 2),
     ]
@@ -215,3 +210,7 @@ def test_config_file_errors(tmp_path):
             parse_scenario_file(str(p))
     with pytest.raises(ConfigurationError):
         parse_scenario_file(str(tmp_path / "missing.cfg"))
+    for old in ("wall_model = soft", "dt_us = 5"):   # soft-wall keys, removed
+        p.write_text(f"[scenario]\n{old}\n")
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            parse_scenario_file(str(p))

@@ -85,7 +85,7 @@ def _propagate_soft_reference(ensemble, t_start, t_end, dt, trap, gravity):
 
 def _soft_trap(width):
     ring = replace(RING, wall_width=width)
-    return TrapGeometry(radius=ring.ring_radius, wall_model="soft", ring=ring)
+    return TrapGeometry(radius=ring.ring_radius, ring=ring)
 
 
 def test_forces_match_where_forms():
