@@ -7,8 +7,9 @@ mode and its initial shape oscillates.  This script runs the centered and
 60-um-offset scenarios, locates the revival extrema, and renders both curves
 to SVG.
 
-Run:  python3 demos/breathing_revival.py  (about two minutes at full size;
-pass a smaller atom count as the first argument to go faster)
+Run:  python3 demos/breathing_revival.py  (about 5 s at full size, 10^5
+atoms, on a 2-vCPU machine; pass a smaller atom count as the first argument
+to go faster)
 """
 
 import sys

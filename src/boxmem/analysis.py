@@ -188,10 +188,11 @@ def find_extrema(times, values, window: int = 5,
     Moving-average smoothing with an odd ``window``, sign changes of the
     discrete derivative, then noise pruning: adjacent extremum pairs whose
     level difference is below ``noise_floor`` annihilate (smallest first),
-    so only features that rise above the noise survive.  A flat extremum
-    (a run of same-kind candidates agreeing within the noise floor) is
-    reported where it first arises.  Times are refined by a parabolic fit
-    through the three nearest points.
+    so only features that rise above the noise survive.  Each extremum is
+    named by the slope that leads into it (a max after a rise, a min after
+    a fall), so maxima and minima alternate.  A flat extremum is reported
+    where it first arises.  Times are refined by a parabolic fit through
+    the three nearest points.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -206,13 +207,12 @@ def find_extrema(times, values, window: int = 5,
     if np.ptp(y) == 0:
         return ExtremaReport([])
 
+    ys = y
     if window > 1:
         kernel = np.ones(window) / window
         pad = window // 2
         yp = np.concatenate([np.full(pad, y[0]), y, np.full(pad, y[-1])])
         ys = np.convolve(yp, kernel, mode="valid")
-    else:
-        ys = y.copy()
 
     d = np.diff(ys)
     sign = np.sign(d)
@@ -222,25 +222,10 @@ def find_extrema(times, values, window: int = 5,
             sign[i] = sign[i - 1]
     idx = [i + 1 for i in range(len(sign) - 1)
            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]]
-    kinds = ["max" if ys[i] >= ys[i - 1] else "min" for i in idx]
+    # each candidate is named by the slope into it; consecutive candidates
+    # are sign flips of that slope, so the kinds strictly alternate
+    kinds = ["max" if sign[i - 1] > 0 else "min" for i in idx]
     raw_idx, raw_kinds = list(idx), list(kinds)
-
-    def merge_same_kind():
-        # same-kind neighbors can appear after a single removal; keep the
-        # more extreme one, or the earlier one when they tie within noise
-        j = 1
-        while j < len(idx):
-            if kinds[j] == kinds[j - 1]:
-                a, b = ys[idx[j - 1]], ys[idx[j]]
-                if abs(a - b) < noise_floor:
-                    drop = j                       # tie: keep the earlier
-                elif (b > a) == (kinds[j] == "max"):
-                    drop = j - 1
-                else:
-                    drop = j
-                del idx[drop], kinds[drop]
-            else:
-                j += 1
 
     # noise pruning by pair annihilation; curve endpoints act as fixed
     # virtual extrema so a lone wiggle near a boundary is also pruned
@@ -252,10 +237,8 @@ def find_extrema(times, values, window: int = 5,
             break
         if j == 0:                       # against the left endpoint
             del idx[0], kinds[0]
-            merge_same_kind()
         elif j == len(gaps) - 1:         # against the right endpoint
             del idx[-1], kinds[-1]
-            merge_same_kind()
         else:                            # interior min/max pair annihilates
             del idx[j - 1:j + 1], kinds[j - 1:j + 1]
 
@@ -271,11 +254,8 @@ def find_extrema(times, values, window: int = 5,
                     and abs(ys[r] - ys[i]) <= noise_floor:
                 i = r
                 break
-        lo = max(i - 1, 0)
-        if lo + 2 >= len(t):
-            lo = len(t) - 3
-        tt = t[lo:lo + 3]
-        vv = ys[lo:lo + 3]
+        tt = t[i - 1:i + 2]              # every candidate has two neighbours
+        vv = ys[i - 1:i + 2]
         a, b, c = np.polyfit(tt, vv, 2)
         if a != 0:
             tv = -b / (2.0 * a)

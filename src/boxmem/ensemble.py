@@ -377,12 +377,14 @@ def propagate(
     leaves the input alone, so a consumer calls it once per sample interval
     and folds over the states it returns; no trajectory is stored.
     """
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ValueError("t_start and t_end must be finite")
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
     if gravity < 0:
         raise ValueError("gravity must be non-negative (it acts along -y)")
     if trap.ring is not None:
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be positive")
         _check_substep(ensemble.velocities, dt, trap.ring.wall_width)
 

@@ -156,6 +156,10 @@ def simulate_coherence(
     bits of the full run's, so ``stop_below=1/e`` leaves
     ``one_over_e_time`` unchanged.
     """
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and non-negative")
+    if not 0 < sample_dt < math.inf:
+        raise ValueError("sample_dt must be finite and positive")
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
     omega_prev = field.at(ensemble.positions)
@@ -201,8 +205,8 @@ def calibrate_wall_width(
     returned as long as it lies within ``2 * tol``; otherwise a
     CalibrationError reports the best achieved value.
     """
-    if target_tau <= 0:
-        raise ValueError("target_tau must be positive")
+    if not 0 < target_tau < math.inf:
+        raise ValueError("target_tau must be finite and positive")
 
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     # the candidates change only the wall width, which sampling ignores

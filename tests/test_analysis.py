@@ -123,6 +123,24 @@ def test_extrema_alternate():
     for a, b in zip(kinds, kinds[1:]):
         assert a != b
 
+    # tied neighbouring samples (flat bottoms, flat tops, stairs): each
+    # extremum is named by the slope into it, so a flat-bottomed dip is a
+    # min, and every min lies below the maxima next to it
+    tied = [([5, 4, 3, 3, 4, 5, 6, 5, 4], 0.0),
+            ([0, 1, 2, 2, 2, 1, 0, 0, 1, 2, 2, 1], 0.0),
+            ([3, 1, 1, 2, 2, 0, 0, 3, 3, 1], 0.5),
+            ([2, 0, 0, 0, 1, 1, 3, 3, 2, 2, 0, 1], 0.0)]
+    tied_kinds = []
+    for values, noise_floor in tied:
+        ext = find_extrema(np.arange(len(values)) * 1e-3, values, window=1,
+                           noise_floor=noise_floor).extrema
+        assert ext
+        for (_, va, ka), (_, vb, kb) in zip(ext, ext[1:]):
+            assert ka != kb
+            assert va < vb if ka == "min" else va > vb
+        tied_kinds.append([k for _, _, k in ext])
+    assert tied_kinds[0] == ["min", "max"]
+
 
 def test_extrema_noise_pruning():
     rng = np.random.default_rng(3)

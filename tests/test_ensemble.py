@@ -91,6 +91,18 @@ def test_invalid_args():
     ens = sample_thermal_ensemble(10, TRAP, T15)
     with pytest.raises(ValueError, match="gravity"):
         propagate(ens, 0.0, 1e-3, trap=TRAP, gravity=-9.81)
+    # bad times are bad input on either wall: no hang, no NaN state and
+    # no NumericalError
+    soft = TrapGeometry(ring=RingPotential())
+    bad_times = [(0.0, -1e-3, "t_end must be >= t_start"),
+                 (0.0, math.inf, "finite"), (0.0, math.nan, "finite"),
+                 (math.nan, 1e-3, "finite"), (-math.inf, 0.0, "finite")]
+    for trap in (TRAP, soft):
+        for t_start, t_end, message in bad_times:
+            with pytest.raises(ValueError, match=message):
+                propagate(ens, t_start, t_end, trap=trap)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        propagate(ens, 0.0, 1e-3, dt=math.nan, trap=soft)
 
 
 # velocity components up to ~5 thermal sigma at 15 uK

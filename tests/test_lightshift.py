@@ -131,8 +131,37 @@ def test_one_over_e_time_linear_interpolation():
 
 
 def test_calibration_rejects_bad_target():
-    with pytest.raises(ValueError):
-        calibrate_wall_width(-1.0, RingPotential())
+    for target in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_tau"):
+            calibrate_wall_width(target, RingPotential())
+
+
+def _stepped_coherence(tau_thin, tau_thick):
+    """A stand-in for simulate_coherence whose 1/e time is ``tau_thin``
+    below a 20 um wall width and ``tau_thick`` from there on."""
+    def fake(field, trap, ensemble, **kwargs):
+        tau = tau_thin if trap.ring.wall_width < 20e-6 else tau_thick
+        return np.array([0.0, tau, 2.0 * tau]), \
+            np.array([1.0, lightshift.ONE_OVER_E, 0.0])
+    return fake
+
+
+def test_calibration_fallbacks(monkeypatch):
+    # No width meets tol on a step, so bisection closes in on the step
+    # until the bracket is under 0.2 um.  The lower end, 0.05 ms off the
+    # target, is the best, and within 2 tol it is returned.
+    monkeypatch.setattr(lightshift, "simulate_coherence",
+                        _stepped_coherence(0.72e-3, 0.50e-3))
+    assert calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=50) == 5e-6
+    # a best width 0.17 ms off is outside 2 tol
+    monkeypatch.setattr(lightshift, "simulate_coherence",
+                        _stepped_coherence(1.0e-3, 0.5e-3))
+    with pytest.raises(CalibrationError, match="within 10%"):
+        calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=50)
+    monkeypatch.setattr(lightshift, "simulate_coherence",
+                        _stepped_coherence(0.5e-3, 1.0e-3))
+    with pytest.raises(CalibrationError, match="not decreasing"):
+        calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=50)
 
 
 def test_calibration_unreachable_target_reported(monkeypatch):
@@ -155,6 +184,15 @@ def _soft_trap_and_cloud(n_atoms, seed):
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     return ShiftField(ring), trap, sample_thermal_ensemble(n_atoms, trap,
                                                            15e-6, seed=seed)
+
+
+@pytest.mark.parametrize("t_max, sample_dt", [
+    (-1e-3, 2e-5), (math.nan, 2e-5), (math.inf, 2e-5),
+    (1e-3, -2e-5), (1e-3, 0.0), (1e-3, math.nan), (1e-3, math.inf)])
+def test_coherence_rejects_bad_times(t_max, sample_dt):
+    field, trap, ens = _soft_trap_and_cloud(10, 1)
+    with pytest.raises(ValueError, match="t_max|sample_dt"):
+        simulate_coherence(field, trap, ens, t_max=t_max, sample_dt=sample_dt)
 
 
 def test_coherence_stop_below_returns_the_full_run_prefix():
