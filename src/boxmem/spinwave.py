@@ -151,22 +151,34 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     Cloud-in-cell deposition followed by an isotropic Gaussian blur of
     standard deviation ``bandwidth`` (zero-padded boundaries, kernel cut at
     8 standard deviations), then normalization to unit integral.  The blur
-    is two BLAS matrix products, ``blur @ grid @ blur`` with the matrix of
-    ``_blur_matrix``, so a grid's last bits follow the BLAS kernel.
+    is two BLAS products by ``_blur_matrix``, each summed over occupied rows
+    or columns only, so a grid's last bits follow the BLAS kernel.
 
     ``counts`` (B, n) are bootstrap multiplicities: a replica that draws
     atom i k_i times is the same ensemble with mass k_i w_i^2.  With them
     the result is the list [base grid, replica 1, ..., replica B], all
     deposited from one stencil and blurred by the same matrix; each
-    replica's grid coverage is checked on its own mass.
+    replica's grid coverage is checked on its own mass.  Non-finite
+    weights, positions or counts raise ValueError, as do bad grid settings.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
     weights = np.asarray(weights, dtype=float)
     positions_xy = np.asarray(positions_xy, dtype=float)
+    if not (weights.ndim == 1 and positions_xy.shape == (len(weights), 2)
+            and np.all(np.isfinite(weights))
+            and all(np.isfinite(u).all() for u in positions_xy.T)):
+        raise ValueError("weights (n,) and positions (n, 2) must be finite")
+    reps = np.empty((0, len(weights))) if counts is None \
+        else np.asarray(counts, dtype=float)
+    if not (reps.ndim == 2 and reps.shape[1] == len(weights)
+            and np.all(np.isfinite(reps)) and np.all(reps >= 0)):
+        raise ValueError("counts must be finite, non-negative and (B, n)")
+    if not (math.isfinite(bandwidth) and bandwidth > 0
+            and math.isfinite(extent) and extent > 0):
+        raise ValueError("bandwidth and extent must be finite and positive")
+    if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
+        raise ValueError("resolution must be an integer >= 1")
     mass = weights**2
     total = float(np.sum(mass))
-    reps = np.empty((0, len(mass))) if counts is None else counts
     totals = reps @ mass
     if total <= 0 or np.any(totals <= 0):
         raise ValueError("total weight must be positive")
@@ -180,26 +192,29 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
             "more than {:.0%} of the excitation weight lies outside the grid"
             .format(MAX_OUTSIDE))
 
+    # off-grid atoms deposit zero mass from an on-grid place: no gather
+    m = np.where(inside, mass, 0.0)
     cell = 2.0 * extent / resolution
-    gx, wx = _cic_axis(positions_xy[inside, 0], extent, cell, resolution)
-    gy, wy = _cic_axis(positions_xy[inside, 1], extent, cell, resolution)
+    (gx, wx), (gy, wy) = (
+        _cic_axis(np.where(inside, u, u[inside.argmax()]), extent, cell,
+                  resolution) for u in positions_xy.T)
+    rows = slice(gx.min(), gx.max() + 1)
+    cols = slice(gy.min(), gy.max() + 1)
     # the four corners in the order 00, 01, 10, 11 as one flat cell index,
     # so one bincount sums in the order of four sequential np.add.at calls
     flat = (gx[:, None] * resolution + gy[None]).ravel()
     del gx, gy      # freed before the per-grid buffers: lowers peak memory
 
-    m = mass[inside]
     blur = _blur_matrix(bandwidth / cell, resolution)
     corner = np.empty((2, 2, len(m)))
     grids = []
     for b in range(1 + len(reps)):
         # (m * wx) * wy, the product order of the per-corner deposit
-        np.multiply(m if b == 0 else reps[b - 1, inside] * m, wx[:, None],
-                    out=corner)
+        np.multiply(m if b == 0 else reps[b - 1] * m, wx[:, None], out=corner)
         corner *= wy
         grid = np.bincount(flat, weights=corner.ravel(),
                            minlength=resolution**2).reshape(resolution, -1)
-        grid = blur @ grid @ blur
+        grid = (blur[:, rows] @ grid[rows])[:, cols] @ blur[cols]
         grid /= grid.sum() * cell * cell
         grids.append(DensityGrid(extent, resolution, grid))
     return grids[0] if counts is None else grids
@@ -215,10 +230,11 @@ def mode_overlap(u0: DensityGrid, ut: DensityGrid) -> float:
 
 def atom_survival(t, fast_fraction: float = 0.5, tau_fast: float = 0.16,
                   tau_slow: float = 0.58):
-    """Double-exponential trap survival S(t); S(0) = 1.  Vectorized."""
+    """Double-exponential trap survival S(t); S(0) = 1.  Vectorized.  An
+    infinite time constant means no decay."""
     if not 0.0 <= fast_fraction <= 1.0:
         raise ValueError("fast_fraction must lie in [0, 1]")
-    if tau_fast <= 0 or tau_slow <= 0:
+    if not (tau_fast > 0 and tau_slow > 0):
         raise ValueError("time constants must be positive")
     t = np.asarray(t, dtype=float)
     return (fast_fraction * np.exp(-t / tau_fast)
@@ -254,13 +270,21 @@ def efficiency_total(times, overlap, tau_dephase: float = 28e-3,
                      fast_fraction: float = 0.5, tau_fast: float = 0.16,
                      tau_slow: float = 0.58) -> EfficiencyCurve:
     """Compose total(t) = overlap(t) * exp(-t/tau_dephase) * S(t), each
-    factor normalized to its value at the first time point."""
-    if tau_dephase <= 0:
+    factor normalized to its value at the first time point, so the first
+    overlap must be positive.  An infinite time constant means no decay."""
+    if not tau_dephase > 0:
         raise ValueError("tau_dephase must be positive")
     times = np.asarray(times, dtype=float)
     overlap = np.asarray(overlap, dtype=float)
+    if not (times.ndim == 1 and len(times) > 0
+            and overlap.shape == times.shape
+            and np.all(np.isfinite(times)) and np.all(np.isfinite(overlap))):
+        raise ValueError("times and overlap must be finite, non-empty and of"
+                         " equal length")
     if np.any(overlap < 0) or np.any(overlap > 1.0 + 1e-9):
         raise ValueError("overlap values must lie in [0, 1]")
+    if not overlap[0] > 0:
+        raise ValueError("the first overlap must be positive")
     dephasing = np.exp(-times / tau_dephase)
     loss = atom_survival(times, fast_fraction, tau_fast, tau_slow)
     overlap = overlap / overlap[0]

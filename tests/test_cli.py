@@ -85,6 +85,20 @@ def test_simulate_csv_same_under_blas_thread_counts(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def test_bootstrap_se_same_under_blas_thread_counts():
+    # the replica grids' BLAS blur must not move a byte of the SE either
+    code = ("import sys; from boxmem.pipeline import preset, run_scenario; "
+            "r = run_scenario(preset('centered', atoms=2000, seed=3), "
+            "n_bootstrap=4); "
+            "sys.stdout.write(r.bootstrap_se.tobytes().hex())")
+    se = [subprocess.run(
+        [sys.executable, "-c", code],
+        env=_src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        capture_output=True, text=True, check=True, timeout=120).stdout
+        for threads in ("1", "2")]
+    assert se[0] and se[0] == se[1]
+
+
 def test_simulate_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[scenario]\natoms = 0\n")

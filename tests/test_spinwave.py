@@ -170,18 +170,62 @@ def _tagged_cloud(n, seed):
     return assign_excitation(pos, ModeSpec()).weights, pos
 
 
+def _narrow_clouds(n, resolution, seed):
+    """Clouds whose deposit leaves most rows or columns empty: one in a
+    corner of the grid, one inside its first row of cells, and the tagged
+    cloud plus an atom at a finite 1e300 m with 0.25 % of the weight."""
+    rng = np.random.default_rng(seed)
+    corner = rng.normal(scale=6e-6, size=(n, 2)) + [-125e-6, 120e-6]
+    row = np.column_stack((np.full(n, -150e-6 + 0.2 * 300e-6 / resolution),
+                           rng.uniform(-100e-6, 100e-6, n)))
+    w, pos = _tagged_cloud(n, seed)
+    return [(rng.random(n) + 0.01, corner), (rng.random(n) + 0.01, row),
+            (np.append(w, 0.05), np.vstack((pos, [1e300, 1e300])))]
+
+
 @pytest.mark.parametrize("n", [1, 1000, 100_000])
 @pytest.mark.parametrize("resolution", [64, 128, 200])
 def test_density_matches_add_at_deposit(n, resolution):
-    w, pos = _tagged_cloud(n, seed=n + resolution)
-    grid = density_estimate(w, pos, resolution=resolution)
-    want = _density_estimate_add_at(w, pos, resolution=resolution)
-    assert np.array_equal(grid.values, want)
-    counts = np.random.default_rng(5).integers(0, 3, size=(2, n))
-    counts[:, 0] = 1                        # no replica is empty
-    grids = density_estimate(w, pos, resolution=resolution, counts=counts)
-    assert len(grids) == 3
-    assert np.array_equal(grids[0].values, want)
+    # the blur sums over the occupied rows and columns only, and an
+    # off-grid atom deposits zero mass: neither moves a bit
+    for w, pos in [_tagged_cloud(n, seed=n + resolution),
+                   *_narrow_clouds(n, resolution, seed=n + resolution)]:
+        grid = density_estimate(w, pos, resolution=resolution)
+        want = _density_estimate_add_at(w, pos, resolution=resolution)
+        assert np.array_equal(grid.values, want)
+        counts = np.random.default_rng(5).integers(0, 3, size=(2, len(w)))
+        counts[:, 0] = 1                    # no replica is empty
+        grids = density_estimate(w, pos, resolution=resolution, counts=counts)
+        assert len(grids) == 3
+        assert np.array_equal(grids[0].values, want)
+
+
+@pytest.mark.parametrize("change", [
+    {"weights": [1.0, 1.0, math.nan, 1.0]},
+    {"weights": [1.0, 1.0, 1.0, math.inf]},
+    {"weights": np.ones((4, 1))},
+    {"positions_xy": [[0.0, 0.0]] * 3 + [[math.nan, 0.0]]},   # < 1 % of weight
+    {"positions_xy": [[0.0, 0.0]] * 3 + [[0.0, -math.inf]]},
+    {"positions_xy": np.zeros((4, 3))},
+    {"positions_xy": np.zeros((3, 2))},
+    {"counts": [[1.0, 1.0, math.nan, 1.0]]},
+    {"counts": [[1.0, 1.0, math.inf, 1.0]]},
+    {"counts": [[1.0, 1.0, -1.0, 1.0]]},
+    {"counts": np.ones((2, 3))},
+    {"counts": np.ones(4)},
+    {"bandwidth": math.nan}, {"bandwidth": math.inf}, {"bandwidth": 0.0},
+    {"extent": math.nan}, {"extent": math.inf}, {"extent": 0.0},
+    {"extent": -1e-4},
+    {"resolution": 0}, {"resolution": 2.5},
+])
+def test_density_estimate_rejects_bad_input(change):
+    args = dict(weights=[1.0, 1.0, 1.0, 0.01], positions_xy=np.zeros((4, 2)),
+                counts=np.ones((1, 4)), resolution=16)
+    density_estimate(**args)
+    with pytest.raises(ValueError) as err:
+        density_estimate(**{**args, **change})
+    # a bad input is refused as such, not as weight off the grid
+    assert not isinstance(err.value, GridCoverageError)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -283,6 +327,8 @@ def test_atom_survival_examples():
         atom_survival(0.1, fast_fraction=1.5)
     with pytest.raises(ValueError):
         atom_survival(0.1, tau_fast=0.0)
+    with pytest.raises(ValueError):
+        atom_survival(0.1, tau_fast=math.nan)
 
 
 def test_efficiency_composition():
@@ -295,6 +341,26 @@ def test_efficiency_composition():
         (1.0 / math.e) * atom_survival(28e-3), rel=1e-9)
     with pytest.raises(ValueError):
         efficiency_total(times, np.array([1.0, 1.5]))
+    # an infinite time constant means no decay
+    flat = efficiency_total(times, overlap, tau_dephase=math.inf,
+                            tau_fast=math.inf, tau_slow=math.inf)
+    assert np.array_equal(flat.total, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("change", [
+    {"overlap": [0.0, 1.0]}, {"overlap": [1.0, math.nan]},
+    {"times": [0.0, math.nan]}, {"times": [0.0, math.inf]},
+    {"times": [], "overlap": []}, {"times": [0.0]},
+    {"times": [[0.0, 1e-3]], "overlap": [[1.0, 0.5]]},
+    {"tau_dephase": math.nan}, {"tau_dephase": 0.0},
+    {"tau_fast": math.nan}, {"tau_slow": math.nan},
+    {"fast_fraction": math.nan},
+])
+def test_efficiency_total_rejects_bad_input(change):
+    args = dict(times=[0.0, 1e-3], overlap=[1.0, 0.5])
+    efficiency_total(**args)
+    with pytest.raises(ValueError):
+        efficiency_total(**{**args, **change})
 
 
 def test_grid_resolution_convergence():
