@@ -13,8 +13,7 @@ import math
 from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry
 from boxmem.lightshift import (ONE_OVER_E, ShiftField, calibrate_wall_width,
-                               one_over_e_time, simulate_coherence,
-                               soft_wall_dt)
+                               one_over_e_time, simulate_coherence)
 
 
 def tau_for_width(width, n_atoms=5000):
@@ -23,8 +22,7 @@ def tau_for_width(width, n_atoms=5000):
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6)
     # the 1/e time reads C(t) only up to its first sample below 1/e
     times, c = simulate_coherence(ShiftField(ring), trap, ens, t_max=3e-3,
-                                  sample_dt=2e-5, dt=soft_wall_dt(width),
-                                  stop_below=ONE_OVER_E)
+                                  sample_dt=2e-5, stop_below=ONE_OVER_E)
     return one_over_e_time(times, c)
 
 

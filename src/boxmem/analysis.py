@@ -185,14 +185,15 @@ def find_extrema(times, values, window: int = 5,
                  noise_floor: float = 0.0) -> ExtremaReport:
     """Alternating extrema of a sampled curve.
 
-    Moving-average smoothing with an odd ``window``, sign changes of the
-    discrete derivative, then noise pruning: adjacent extremum pairs whose
-    level difference is below ``noise_floor`` annihilate (smallest first),
-    so only features that rise above the noise survive.  Each extremum is
-    named by the slope that leads into it (a max after a rise, a min after
-    a fall), so maxima and minima alternate.  A flat extremum is reported
-    where it first arises.  Times are refined by a parabolic fit through
-    the three nearest points.
+    Moving-average smoothing with an odd ``window``, sign flips of the
+    discrete derivative, then noise pruning: adjacent extremum pairs less
+    than ``noise_floor`` apart annihilate (smallest first).  Each extremum
+    is named by the slope into it (a max after a rise, a min after a fall),
+    so maxima and minima alternate.  A flat extremum is reported where it
+    first arises: at the earliest candidate of its kind that a walk back
+    through candidates less than ``noise_floor`` from it reaches, so the
+    curve between stays inside that band.  Times are refined by a parabola
+    through the three nearest points.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -200,8 +201,8 @@ def find_extrema(times, values, window: int = 5,
         raise ValueError("at least 5 points are required")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("times and values must be finite")
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be odd and positive")
+    if window < 1 or window % 2 == 0 or window > len(t):
+        raise ValueError("window must be odd, positive and <= len(times)")
     if not (math.isfinite(noise_floor) and noise_floor >= 0):
         raise ValueError("noise_floor must be finite and non-negative")
     if np.ptp(y) == 0:
@@ -215,17 +216,14 @@ def find_extrema(times, values, window: int = 5,
         ys = np.convolve(yp, kernel, mode="valid")
 
     d = np.diff(ys)
-    sign = np.sign(d)
-    # carry the previous sign through flat segments
-    for i in range(1, len(sign)):
-        if sign[i] == 0:
-            sign[i] = sign[i - 1]
-    idx = [i + 1 for i in range(len(sign) - 1)
-           if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]]
-    # each candidate is named by the slope into it; consecutive candidates
-    # are sign flips of that slope, so the kinds strictly alternate
-    kinds = ["max" if sign[i - 1] > 0 else "min" for i in idx]
-    raw_idx, raw_kinds = list(idx), list(kinds)
+    # a flat step carries the slope before it: a candidate is the sample
+    # where the last non-zero step's sign flips, named by the slope into it
+    steps = np.flatnonzero(d)
+    rising = d[steps] > 0
+    flips = np.flatnonzero(rising[1:] != rising[:-1])
+    raw = steps[flips + 1]
+    idx = raw.tolist()
+    kinds = np.where(rising[flips], "max", "min").tolist()
 
     # noise pruning by pair annihilation; curve endpoints act as fixed
     # virtual extrema so a lone wiggle near a boundary is also pruned
@@ -243,17 +241,12 @@ def find_extrema(times, values, window: int = 5,
             del idx[j - 1:j + 1], kinds[j - 1:j + 1]
 
     out = []
-    for pos, (i, kind) in enumerate(zip(idx, kinds)):
-        # a flat extremum is reported where it first arises: earliest raw
-        # candidate of the same kind, within the noise floor of the
-        # survivor, between the surviving alternation neighbors
-        left = idx[pos - 1] if pos > 0 else -1
-        right = idx[pos + 1] if pos + 1 < len(idx) else len(t)
-        for r, rk in zip(raw_idx, raw_kinds):
-            if left < r < right and rk == kind \
-                    and abs(ys[r] - ys[i]) <= noise_floor:
-                i = r
-                break
+    for i, kind in zip(idx, kinds):
+        # walk back through the noise band; parity keeps the survivor's kind
+        k = j = int(np.searchsorted(raw, i))
+        while j > 0 and abs(ys[raw[j - 1]] - ys[i]) < noise_floor:
+            j -= 1
+        i = raw[j + (k - j) % 2]
         tt = t[i - 1:i + 2]              # every candidate has two neighbours
         vv = ys[i - 1:i + 2]
         a, b, c = np.polyfit(tt, vv, 2)

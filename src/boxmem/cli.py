@@ -121,17 +121,19 @@ def _cmd_extrema(args) -> int:
 def _cmd_compensation(args) -> int:
     spec = CompensationSpec(trap_power=args.power,
                             trap_wavelength=args.trap_nm * 1e-9)
-    p_comp = optimal_compensation_power(spec)
     tau0 = args.tau0_ms * 1e-3
-    # every input is checked before the first line is printed
-    residual = {eps: residual_lifetime(tau0, eps)
-                for eps in (0.01, 0.024, 0.10)}
+    # every input and scaled result is checked before the first print
+    scaled = {"optimal_comp_power_uW": optimal_compensation_power(spec) * 1e6,
+              "uncompensated_tau_ms": tau0 * 1e3}
+    for eps in (0.01, 0.024, 0.10):
+        scaled[f"epsilon={eps:.3g} residual_tau_ms"] = \
+            residual_lifetime(tau0, eps) * 1e3
+    lines = [f"{name}={value:.4g}" for name, value in scaled.items()]
+    if not all(map(math.isfinite, scaled.values())):   # then print nothing
+        raise NumericalError("non-finite result: " + "; ".join(lines))
     print(f"trap_power_W={args.power:.6g}")
     print(f"trap_wavelength_nm={args.trap_nm:.6g}")
-    print(f"optimal_comp_power_uW={p_comp * 1e6:.4g}")
-    print(f"uncompensated_tau_ms={tau0 * 1e3:.4g}")
-    for eps, tau in residual.items():
-        print(f"epsilon={eps:.3g} residual_tau_ms={tau * 1e3:.4g}")
+    print("\n".join(lines))
     return 0
 
 

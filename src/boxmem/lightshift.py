@@ -140,7 +140,6 @@ def simulate_coherence(
     ensemble: AtomEnsemble,
     t_max: float = 3e-3,
     sample_dt: float = 2e-5,
-    dt: float = DEFAULT_DT,
     gravity: float = CONSTANTS.g_earth,
     *,
     stop_below: float | None = None,
@@ -154,12 +153,14 @@ def simulate_coherence(
     With ``stop_below`` set, the run stops at the first sample i with
     C[i] < stop_below and returns the samples 0..i; each of them has the
     bits of the full run's, so ``stop_below=1/e`` leaves
-    ``one_over_e_time`` unchanged.
+    ``one_over_e_time`` unchanged.  The Verlet sub-step is
+    ``soft_wall_dt`` of the ring's wall width; hard walls read none.
     """
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and non-negative")
     if not 0 < sample_dt < math.inf:
         raise ValueError("sample_dt must be finite and positive")
+    dt = DEFAULT_DT if trap.ring is None else soft_wall_dt(trap.ring.wall_width)
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
     omega_prev = field.at(ensemble.positions)
@@ -218,7 +219,7 @@ def calibrate_wall_width(
         times, c = simulate_coherence(
             ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
             t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0),
-            dt=soft_wall_dt(width), stop_below=ONE_OVER_E)
+            stop_below=ONE_OVER_E)
         return one_over_e_time(times, c)
 
     lo, hi = bracket

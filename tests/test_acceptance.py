@@ -18,7 +18,7 @@ from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 from boxmem.lightshift import (CompensationSpec, ShiftField,
                                calibrate_wall_width, one_over_e_time,
                                optimal_compensation_power, residual_lifetime,
-                               simulate_coherence, soft_wall_dt)
+                               simulate_coherence)
 from boxmem.pipeline import curve_to_csv, preset, run_scenario
 from boxmem.render import render_svg
 from boxmem.spinwave import (collinear_delta_k, density_estimate, mode_overlap,
@@ -180,8 +180,7 @@ def _soft_tau(width, n_atoms=10_000, seed=0):
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     field = ShiftField(ring)
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
-    times, c = simulate_coherence(field, trap, ens, t_max=3e-3,
-                                  sample_dt=2e-5, dt=soft_wall_dt(width))
+    times, c = simulate_coherence(field, trap, ens, t_max=3e-3, sample_dt=2e-5)
     return one_over_e_time(times, c)
 
 

@@ -129,7 +129,8 @@ def test_extrema_alternate():
     tied = [([5, 4, 3, 3, 4, 5, 6, 5, 4], 0.0),
             ([0, 1, 2, 2, 2, 1, 0, 0, 1, 2, 2, 1], 0.0),
             ([3, 1, 1, 2, 2, 0, 0, 3, 3, 1], 0.5),
-            ([2, 0, 0, 0, 1, 1, 3, 3, 2, 2, 0, 1], 0.0)]
+            ([2, 0, 0, 0, 1, 1, 3, 3, 2, 2, 0, 1], 0.0),
+            ([4, 1, 0, 2, 1, 1, 4, 2, 3, 2, 1, 1, 3, 3, 4, 4, 4], 2.5)]
     tied_kinds = []
     for values, noise_floor in tied:
         ext = find_extrema(np.arange(len(values)) * 1e-3, values, window=1,
@@ -182,6 +183,13 @@ def test_extrema_flat_plateau_reported_at_onset():
     assert len(maxima) == 1
     assert maxima[0] < 5.0                   # onset, not the late wiggle
 
+    # the onset is searched only inside the noise band: the earlier top at
+    # 2 lies across a dip to 0, deeper than the floor, from the peak of 3
+    rep = find_extrema(np.arange(10) * 1e-3, [1, 2, 2, 0, 0, 2, 1, 1, 3, 0],
+                       window=1, noise_floor=1.5)
+    assert [(v, k) for _, v, k in rep.extrema] == [(3.0, "max")]
+    assert rep.extrema[0][0] == pytest.approx(7.9e-3, abs=0.05e-3)
+
 
 def test_extrema_shift_invariance():
     t = np.linspace(0.0, 1.0, 300)
@@ -199,6 +207,8 @@ def test_extrema_validation():
         find_extrema(t[:3], np.ones(3))
     with pytest.raises(ValueError):
         find_extrema(t, np.cos(t), window=4)
+    with pytest.raises(ValueError, match="window"):
+        find_extrema(t, np.cos(t), window=101)      # longer than the curve
     for floor in (np.nan, np.inf, -np.inf, -0.01):
         with pytest.raises(ValueError, match="noise_floor"):
             find_extrema(t, np.cos(10 * t), noise_floor=floor)

@@ -314,8 +314,12 @@ _SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
     ("compensation --power 1.9 --trap-nm 775 --tau0-ms nan", "", 2),
     ("compensation --power 1.9 --trap-nm 775 --tau0-ms inf", "", 2),
     ("compensation --power 1.9 --trap-nm 775 --tau0-ms 0", "", 2),
+    # finite inputs whose scaled results overflow print no inf
+    ("compensation --power 1.7e308 --trap-nm 775", "", 3),
+    ("compensation --power 1.9 --trap-nm 775 --tau0-ms 1e308", "", 3),
     ("extrema --input {csv} --noise-floor nan", "", 2),
     ("extrema --input {csv} --noise-floor -0.1", "", 2),
+    ("extrema --input {csv} --window 41", "", 2),    # the CSV has 40 rows
     # scenarios run in the hard box: the soft-wall keys are unknown
     ("simulate --config {cfg} --out {out}", "dt_us = 0", 2),
     ("simulate --config {cfg} --out {out}",
