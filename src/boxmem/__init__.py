@@ -13,9 +13,8 @@ from .lightshift import (CompensationSpec, ShiftField, calibrate_wall_width,
                          simulate_coherence, trap_detuning)
 from .pipeline import (PRESETS, ScenarioConfig, ScenarioResult, preset,
                        read_curve_csv, run_scenario, write_curve_csv)
-from .spinwave import (DensityGrid, EfficiencyCurve, ModeSpec, SpinWaveRecord,
+from .spinwave import (DensityGrid, EfficiencyCurve, ModeSpec,
                        assign_excitation, atom_survival, collinear_delta_k,
-                       density_estimate, efficiency_total, mode_overlap,
-                       spinwave_wavevector)
+                       density_estimate, efficiency_total, mode_overlap)
 
 __version__ = "0.1.0"

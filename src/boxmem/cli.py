@@ -87,6 +87,8 @@ def _cmd_fit(args) -> int:
     t, y = curve.times, curve_column(curve, args.column)
     if args.model == "exp":
         res = fit_exponential(t, y, offset=args.offset)
+    elif args.offset:
+        raise ValueError("--offset applies to the exp model only")
     else:
         res = fit_double_exponential(t, y)
     lines, numbers = [f"model={res.model} column={args.column}"], [res.rss]

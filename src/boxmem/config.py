@@ -72,13 +72,15 @@ def parse_scenario_file(path: str) -> ScenarioConfig:
             raise ConfigurationError(
                 "times: t_start_ms, t_stop_ms, t_step_ms must be given together")
         try:
-            t0, t1, dt = (float(t_keys[k])
-                          for k in ("t_start_ms", "t_stop_ms", "t_step_ms"))
+            t0, t1, dt = (float(t_keys[k]) for k in t_keys)
         except ValueError as exc:
             raise ConfigurationError(f"times: {exc}") from exc
+        for key, value in zip(t_keys, (t0, t1, dt)):
+            if not np.isfinite(value):
+                raise ConfigurationError(f"times: {key} must be finite")
         if dt <= 0 or t1 < t0:
             raise ConfigurationError("times: need t_step_ms > 0 and stop >= start")
-        if not (t1 - t0) / dt + 1 <= MAX_SAMPLE_TIMES:     # NaN fails too
+        if (t1 - t0) / dt + 1 > MAX_SAMPLE_TIMES:
             raise ConfigurationError(
                 f"times: more than {MAX_SAMPLE_TIMES} sample times")
         overrides["times"] = np.arange(t0, t1 + 0.5 * dt, dt) * 1e-3

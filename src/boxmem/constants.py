@@ -2,7 +2,7 @@
 
 All values are SI.  The fundamental constants are CODATA 2022, written out
 so that importing the package loads no scipy; atomic data (hyperfine
-splitting, D-line wavelengths) follow Steck, "Rubidium 87 D Line Data".
+splitting, D2-line wavelength) follow Steck, "Rubidium 87 D Line Data".
 """
 
 import math
@@ -20,7 +20,6 @@ class PhysicalConstants:
     g_earth: float = 9.81                    # m/s^2
     nu_hf: float = 6.834682611e9             # Hz, 87Rb ground hyperfine splitting
     lambda_D2: float = 780.241209e-9         # m, vacuum
-    lambda_D1: float = 794.978851e-9         # m, vacuum
 
     @property
     def omega_hf(self) -> float:

@@ -372,7 +372,8 @@ def propagate(
     to the next (the first root of the quartic rho(t)^2 = R^2).  A trap
     with a ring has soft walls, which integrate -grad U with velocity-Verlet
     in sub-steps of ``dt``, in place on a contiguous (2, n) transverse copy;
-    ``dt`` is checked only there, and hard walls do not read it.  The hard
+    ``dt`` is checked only there, and hard walls do not read it.  A
+    non-finite state after either flight raises NumericalError.  The hard
     end caps fold the axial motion exactly.  Returns a new ensemble and
     leaves the input alone, so a consumer calls it once per sample interval
     and folds over the states it returns; no trajectory is stored.
@@ -381,8 +382,9 @@ def propagate(
         raise ValueError("t_start and t_end must be finite")
     if t_end < t_start:
         raise ValueError("t_end must be >= t_start")
-    if gravity < 0:
-        raise ValueError("gravity must be non-negative (it acts along -y)")
+    if not 0 <= gravity < np.inf:
+        raise ValueError("gravity must be finite and non-negative (it acts "
+                         "along -y)")
     if trap.ring is not None:
         if not dt > 0:
             raise ValueError("dt must be positive")
@@ -405,6 +407,9 @@ def propagate(
 
         xy, vxy = pos[:, :2].T.copy(), vel[:, :2].T.copy()
         _verlet(xy, vxy, transverse, interval, dt)
+        if not (np.isfinite(xy).all() and np.isfinite(vxy).all()):
+            raise NumericalError("non-finite transverse state after the "
+                                 "soft-wall flight")
         pos[:, :2], vel[:, :2] = xy.T, vxy.T
     pos[:, 2], vel[:, 2] = _fold_axial(pos[:, 2] + vel[:, 2] * interval,
                                        vel[:, 2], trap.length / 2.0)

@@ -29,7 +29,7 @@ from .geometry import RingPotential, TrapGeometry, potential_at
 
 GAMMA_D2 = 2.0 * math.pi * 6.0666e6  # rad/s, 87Rb D2 natural linewidth
 CALIBRATION_TEMPERATURE = 15e-6  # K, the paper's cloud
-CALIBRATION_MAX_ITER = 40  # bisections; the stop for an infinite bracket end
+CALIBRATION_BRACKET = (5e-6, 60e-6)  # m, the wall widths searched
 ONE_OVER_E = 1.0 / math.e  # the coherence that defines the dephasing time
 
 
@@ -55,16 +55,18 @@ def trap_detuning(wavelength: float) -> float:
                             - CONSTANTS.c / CONSTANTS.lambda_D2)
 
 
-def differential_shift(U: float, detuning: float = trap_detuning(775e-9)):
-    """Differential clock-transition shift (rad/s) for potential energy U (J).
+RING_DETUNING = trap_detuning(775e-9)  # rad/s, the ring's trap light
+
+
+def differential_shift(U: float):
+    """Differential clock-transition shift (rad/s) for potential energy U (J)
+    of the 775 nm trap light.
 
     Linear in U; positive (|F=2> raised relative to |F=1>) inside
     blue-detuned light.  Vectorized over U.
     """
-    if detuning == 0:
-        raise ValueError("detuning must be non-zero")
     return (np.asarray(U, dtype=float) / CONSTANTS.hbar) \
-        * (CONSTANTS.omega_hf / detuning)
+        * (CONSTANTS.omega_hf / RING_DETUNING)
 
 
 def optimal_compensation_power(spec: CompensationSpec) -> float:
@@ -160,6 +162,8 @@ def simulate_coherence(
         raise ValueError("t_max must be finite and non-negative")
     if not 0 < sample_dt < math.inf:
         raise ValueError("sample_dt must be finite and positive")
+    if len(ensemble) == 0:
+        raise ValueError("the ensemble must hold at least one atom")
     dt = DEFAULT_DT if trap.ring is None else soft_wall_dt(trap.ring.wall_width)
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
@@ -184,30 +188,32 @@ def calibrate_wall_width(
     ring: RingPotential,
     n_atoms: int = 10_000,
     seed: int = 0,
-    bracket: tuple[float, float] = (5e-6, 60e-6),
     tol: float = 0.05,
 ) -> float:
     """Wall width whose microscopic dephasing 1/e time equals ``target_tau``.
 
-    Bisection over ``bracket`` on the soft-walled trap built from the ring
-    (default length, gravity on).  One thermal cloud of ``n_atoms`` at
-    CALIBRATION_TEMPERATURE is drawn from ``seed`` per call; the
-    trajectories themselves depend on the candidate width, so each
-    candidate folds that same cloud through its own trap, and the search is
-    deterministic.  Each candidate's C(t) runs only up to its first sample
-    below 1/e, the last one its 1/e time reads; a candidate that never
-    goes below runs to ``4 * target_tau`` and has tau = inf.  Monotonicity
-    (thicker wall -> longer light exposure per bounce -> shorter tau) is
-    verified at the bracket endpoints before bisecting, not assumed.
+    Bisection over CALIBRATION_BRACKET, down to an interval under 0.2 um,
+    on the soft-walled trap built from the ring (default length, gravity
+    on).  One thermal cloud of ``n_atoms`` at CALIBRATION_TEMPERATURE is
+    drawn from ``seed`` per call; the trajectories themselves depend on the
+    candidate width, so each candidate folds that same cloud through its
+    own trap, and the search is deterministic.  Each candidate's C(t) runs
+    only up to its first sample below 1/e, the last one its 1/e time reads;
+    a candidate that never goes below runs to ``4 * target_tau`` and has
+    tau = inf.  Monotonicity (thicker wall -> longer light exposure per
+    bounce -> shorter tau) is verified at the bracket ends before
+    bisecting, not assumed.
 
     The attainable 1/e times form a staircase: coherent revival dips of
     C(t) make its 1/e crossing hop between dips as the width grows.  When
-    no width meets ``tol``, the candidate closest to the target is
-    returned as long as it lies within ``2 * tol``; otherwise a
-    CalibrationError reports the best achieved value.
+    no width meets ``tol``, the candidate closest to the target, the first
+    evaluated of equals, is returned if it lies within ``2 * tol``;
+    otherwise a CalibrationError reports the best achieved value.
     """
     if not 0 < target_tau < math.inf:
         raise ValueError("target_tau must be finite and positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
 
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     # the candidates change only the wall width, which sampling ignores
@@ -222,8 +228,9 @@ def calibrate_wall_width(
             stop_below=ONE_OVER_E)
         return one_over_e_time(times, c)
 
-    lo, hi = bracket
-    tau_lo, tau_hi = tau_of(lo), tau_of(hi)
+    lo, hi = CALIBRATION_BRACKET
+    taus = {w: tau_of(w) for w in (hi, lo)}  # min takes the first of ties
+    tau_lo, tau_hi = taus[lo], taus[hi]
     if not tau_lo > tau_hi:
         raise CalibrationError(
             f"tau is not decreasing in wall width over the bracket: "
@@ -233,22 +240,17 @@ def calibrate_wall_width(
             f"target {target_tau:g} s outside the reachable range "
             f"[{tau_hi:g}, {tau_lo:g}] s for widths [{lo:g}, {hi:g}] m")
 
-    best_width, best_err = hi, abs(tau_hi - target_tau)
-    if abs(tau_lo - target_tau) < best_err:
-        best_width, best_err = lo, abs(tau_lo - target_tau)
-    for _ in range(CALIBRATION_MAX_ITER):
-        if hi - lo < 0.2e-6:
-            break
+    while hi - lo >= 0.2e-6:
         mid = 0.5 * (lo + hi)
-        tau_mid = tau_of(mid)
-        if abs(tau_mid - target_tau) <= tol * target_tau:
+        taus[mid] = tau_of(mid)
+        if abs(taus[mid] - target_tau) <= tol * target_tau:
             return mid
-        if abs(tau_mid - target_tau) < best_err:
-            best_width, best_err = mid, abs(tau_mid - target_tau)
-        if tau_mid > target_tau:
+        if taus[mid] > target_tau:
             lo = mid         # need a thicker wall for a shorter tau
         else:
             hi = mid
+    best_width = min(taus, key=lambda w: abs(taus[w] - target_tau))
+    best_err = abs(taus[best_width] - target_tau)
     if best_err <= 2.0 * tol * target_tau:
         return best_width
     raise CalibrationError(

@@ -24,8 +24,8 @@ from .ensemble import propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
 from .geometry import TrapGeometry
 from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
-                       assign_excitation, curve_column, density_estimate,
-                       efficiency_total, mode_overlap)
+                       assign_excitation, collinear_delta_k, curve_column,
+                       density_estimate, efficiency_total, mode_overlap)
 
 CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
 MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
@@ -156,7 +156,8 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     The trajectory is consumed one sample time at a time, as ``propagate``
     returns it: each sample is reduced to the overlap of its density grid
     with the first sample's grid and to the phi_2 coherence
-    |sum w^2 exp(i delta_k . (r(t) - r(t0)))|, so memory is O(n_atoms).
+    |sum w^2 exp(i k_z (z(t) - z(t0)))|, with k_z the axial wave number of
+    ``collinear_delta_k``, so memory is O(n_atoms).
 
     ``n_bootstrap`` > 0 additionally estimates the per-time Monte-Carlo
     standard error of the overlap by resampling atoms with replacement;
@@ -173,7 +174,8 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     ens = sample_thermal_ensemble(
         config.atoms, trap, config.temperature, gravity=gravity,
         seed=config.seed, spatial=config.spatial)
-    record = assign_excitation(ens.positions, config.signal_mode())
+    weights = assign_excitation(ens.positions, config.signal_mode())
+    k_z = collinear_delta_k()[2]        # the spin wave runs along the axis
 
     rng = np.random.Generator(np.random.Philox(
         key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))
@@ -183,7 +185,7 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     for row in counts:
         row[:] = np.bincount(rng.integers(0, config.atoms, size=config.atoms),
                              minlength=config.atoms)
-    w2 = record.weights**2
+    w2 = weights**2
 
     times = np.asarray(config.times, dtype=float)
     overlap = np.empty((1 + n_bootstrap, len(times)))
@@ -194,14 +196,14 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
             current = propagate(current, t, ti, trap=trap, gravity=gravity)
             t = ti
         positions = current.positions
-        grids = density_estimate(record.weights, positions[:, :2],
+        grids = density_estimate(weights, positions[:, :2],
                                  extent=config.grid_extent,
                                  resolution=config.grid_resolution,
                                  bandwidth=config.kde_bandwidth, counts=counts)
         if i == 0:
-            first, origin = grids, positions
+            first, z0 = grids, positions[:, 2]
         overlap[:, i] = [mode_overlap(u0, g) for u0, g in zip(first, grids)]
-        phi2 = (positions - origin) @ record.delta_k
+        phi2 = k_z * (positions[:, 2] - z0)
         phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
         del grids       # the next sample's grids replace, not join, these
 

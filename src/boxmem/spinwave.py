@@ -1,13 +1,13 @@
 """The singly-excited spin wave: per-atom weights, transverse mode
 estimation, and retrieval-efficiency composition.
 
-The stored excitation carries one weight per atom and the spin-wave wave
-vector; the phases it picks up in storage are folded over the trajectory by
-their consumers (the phi_2 coherence of ``pipeline.run_scenario`` and the
-light-shift phase of ``lightshift.simulate_coherence``).  The
-transverse mode U(x, y, t) is the weight-squared distribution estimated on
-a grid with a Gaussian kernel; retrieval is scored by the Bhattacharyya
-overlap squared,
+The stored excitation is one weight per atom; the beams are collinear, so
+the spin wave's wave vector ``collinear_delta_k()`` lies along the trap
+axis.  Its storage phases are folded over the trajectory by their consumers
+(the phi_2 coherence of ``pipeline.run_scenario`` and the light-shift phase
+of ``lightshift.simulate_coherence``).  The transverse mode U(x, y, t) is
+the weight-squared distribution estimated on a grid with a Gaussian kernel;
+retrieval is scored by the Bhattacharyya overlap squared,
 
     R(dT) = ( sum_cells sqrt(U0) sqrt(Ut) * cell_area )^2,
 
@@ -40,37 +40,14 @@ class ModeSpec:
             raise ValueError("waist_w0 must be positive")
 
 
-@dataclass
-class SpinWaveRecord:
-    """Weights (sum w^2 = 1) and the spin-wave wave vector delta_k (rad/m)."""
-
-    weights: np.ndarray
-    delta_k: np.ndarray
-
-
-def spinwave_wavevector(write_k, signal_k):
-    """delta_k = write_k - signal_k and the spin-wave wavelength 2 pi/|delta_k|.
-
-    Degenerate wave vectors give wavelength = inf.
-    """
-    write_k = np.asarray(write_k, dtype=float)
-    signal_k = np.asarray(signal_k, dtype=float)
-    if not (np.all(np.isfinite(write_k)) and np.all(np.isfinite(signal_k))):
-        raise ValueError("wave vectors must be finite")
-    delta_k = write_k - signal_k
-    norm = float(np.linalg.norm(delta_k))
-    wavelength = math.inf if norm == 0.0 else 2.0 * math.pi / norm
-    return delta_k, wavelength
-
-
 def collinear_delta_k() -> np.ndarray:
     """delta_k for collinear beams split by the clock frequency (along z)."""
     return np.array([0.0, 0.0, 2.0 * math.pi * CONSTANTS.nu_hf / CONSTANTS.c])
 
 
-def assign_excitation(positions: np.ndarray, signal: ModeSpec) -> SpinWaveRecord:
-    """Create the spin wave: raw weight exp(-|r_perp - center|^2 / w0^2)
-    from the signal mode, then normalized, with the collinear delta_k.
+def assign_excitation(positions: np.ndarray, signal: ModeSpec) -> np.ndarray:
+    """The spin wave's weights: raw weight exp(-|r_perp - center|^2 / w0^2)
+    from the signal mode, normalized so that sum w^2 = 1.
 
     The much larger write mode (275 um waist) varies by < 6% over the
     signal waist, so it is treated as uniform and takes no argument.
@@ -83,8 +60,7 @@ def assign_excitation(positions: np.ndarray, signal: ModeSpec) -> SpinWaveRecord
     raw = np.exp(-d2 / signal.waist_w0**2)
     if np.max(raw) < 1e-30:
         raise EmptyModeError("signal mode does not overlap the atomic cloud")
-    weights = raw / np.sqrt(np.sum(raw**2))
-    return SpinWaveRecord(weights, collinear_delta_k())
+    return raw / np.sqrt(np.sum(raw**2))
 
 
 @dataclass

@@ -62,6 +62,13 @@ def test_traced_calls_reach_every_layer(tracer):
         lightshift.simulate_coherence(lightshift.ShiftField(soft.ring), soft,
                                       cloud, t_max=4e-5)
     metrics = tracer.layer_metrics(t.spans, wall_s=1.0)
+    # a call that bypasses a patched module global would read 0 here
+    names = [span.name for span in t.spans]
+    assert {name: names.count(name) for name in (
+        "ensemble.sample", "spinwave.excite", "spinwave.overlap",
+        "spinwave.compose", "geometry.potential")} == {
+        "ensemble.sample": 1, "spinwave.excite": 1, "spinwave.overlap": 2,
+        "spinwave.compose": 1, "geometry.potential": 3}
     assert metrics["ensemble.propagate_calls"] == 1 + 2
     assert metrics["spinwave.kde_calls"] == 2
     assert metrics["spinwave.kde_points"] == 2 * 200

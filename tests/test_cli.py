@@ -107,6 +107,19 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# the time rows' messages name the bad value
+_TIME_ERRORS = {
+    "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5":
+        "times: t_stop_ms must be finite",
+    "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan":
+        "times: t_step_ms must be finite",
+    "t_start_ms = nan\nt_stop_ms = 1\nt_step_ms = 0.5":
+        "times: t_start_ms must be finite",
+    "t_start_ms = 0\nt_stop_ms = 1e9\nt_step_ms = 1e-3":
+        "times: more than 100000 sample times",
+}
+
+
 @pytest.mark.parametrize("line", [
     "mode_offset_y_um = nan", "mode_offset_x_um = inf",
     "trap_radius_um = inf", "temperature_uK = nan", "mode_waist_um = nan",
@@ -114,6 +127,7 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     "loss_fast_fraction = nan", "workers = 0", "workers = 100000",
     "t_start_ms = 0\nt_stop_ms = inf\nt_step_ms = 0.5",
     "t_start_ms = 0\nt_stop_ms = 1\nt_step_ms = nan",
+    "t_start_ms = nan\nt_stop_ms = 1\nt_step_ms = 0.5",
     "t_start_ms = 0\nt_stop_ms = 1e9\nt_step_ms = 1e-3",
     "grid_resolution = 1000000", "kde_bandwidth_um = 1e9",
 ])
@@ -124,6 +138,7 @@ def test_simulate_bad_config_key_exits_2(tmp_path, capsys, line):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert _TIME_ERRORS.get(line, "") in err
     assert not out.exists()
 
 
@@ -320,6 +335,7 @@ _SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
     ("extrema --input {csv} --noise-floor nan", "", 2),
     ("extrema --input {csv} --noise-floor -0.1", "", 2),
     ("extrema --input {csv} --window 41", "", 2),    # the CSV has 40 rows
+    ("fit --input {csv} --model dexp --offset", "", 2),     # exp only
     # scenarios run in the hard box: the soft-wall keys are unknown
     ("simulate --config {cfg} --out {out}", "dt_us = 0", 2),
     ("simulate --config {cfg} --out {out}",

@@ -26,8 +26,6 @@ def test_hyperfine_splitting():
 
 def test_d_line_wavelengths():
     assert CONSTANTS.lambda_D2 == pytest.approx(780.241e-9, rel=1e-5)
-    assert CONSTANTS.lambda_D1 == pytest.approx(794.979e-9, rel=1e-5)
-    assert CONSTANTS.lambda_D1 > CONSTANTS.lambda_D2
 
 
 def test_all_constants_positive():

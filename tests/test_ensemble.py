@@ -103,6 +103,16 @@ def test_invalid_args():
                 propagate(ens, t_start, t_end, trap=trap)
     with pytest.raises(ValueError, match="dt must be positive"):
         propagate(ens, 0.0, 1e-3, dt=math.nan, trap=soft)
+    # non-finite gravity is bad input on either wall, and a non-finite
+    # state never comes back as NaN positions
+    nan_v = AtomEnsemble(ens.positions, ens.velocities.copy())
+    nan_v.velocities[3, 0] = math.nan
+    for trap in (TRAP, soft):
+        for g in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gravity must be finite"):
+                propagate(ens, 0.0, 1e-3, trap=trap, gravity=g)
+        with pytest.raises(NumericalError, match="non-finite"):
+            propagate(nan_v, 0.0, 1e-4, trap=trap)
 
 
 # velocity components up to ~5 thermal sigma at 15 uK
@@ -192,7 +202,8 @@ def test_slow_atom_falls_off_the_ceiling(pos, vel):
     # 1e-16 R inside, moving along the wall: whispering-gallery bounces at
     # an angle of 1e-8 rad, 1e8 of them per ms
     ([1.0 - 1e-16, 0.0, 0.0], [0.0, 0.125, 0.0], 0.0),
-    ([0.0, -1.0, 0.0], [0.05, 0.01, 0.0], math.nan),
+    # a non-finite state (non-finite gravity is refused as bad input)
+    ([0.0, -1.0, 0.0], [0.05, math.nan, 0.0], CONSTANTS.g_earth),
 ])
 def test_unresolvable_flight_fails_loudly(pos, vel, g):
     ens = AtomEnsemble(np.array([pos]) * TRAP.radius, np.array([vel]))

@@ -5,7 +5,7 @@ import pytest
 
 from boxmem import lightshift
 from boxmem.constants import CONSTANTS
-from boxmem.ensemble import sample_thermal_ensemble
+from boxmem.ensemble import AtomEnsemble, sample_thermal_ensemble
 from boxmem.errors import CalibrationError, NearResonanceError
 from boxmem.lightshift import (CompensationSpec, ShiftField,
                                calibrate_wall_width, differential_shift,
@@ -34,11 +34,6 @@ def test_shift_magnitude_at_ring_peak():
     dw = differential_shift(U)
     assert dw / (2 * math.pi) == pytest.approx(2.466e3, rel=1e-3)
     assert dw > 0
-
-
-def test_shift_requires_nonzero_detuning():
-    with pytest.raises(ValueError):
-        differential_shift(1e-28, detuning=0.0)
 
 
 def test_compensation_power_default_beam():
@@ -130,10 +125,17 @@ def test_one_over_e_time_linear_interpolation():
     assert one_over_e_time(times, np.array([1.0, 0.9, 0.8])) == math.inf
 
 
-def test_calibration_rejects_bad_target():
+def test_calibration_rejects_bad_target(monkeypatch):
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("bad input must be refused before sampling")
+
+    monkeypatch.setattr(lightshift, "sample_thermal_ensemble", no_cloud)
     for target in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="target_tau"):
             calibrate_wall_width(target, RingPotential())
+    for tol in (math.nan, -0.05, 0.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            calibrate_wall_width(0.67e-3, RingPotential(), tol=tol)
 
 
 def _stepped_coherence(tau_thin, tau_thick):
@@ -173,9 +175,11 @@ def test_calibration_unreachable_target_reported(monkeypatch):
         return sample_thermal_ensemble(*args, **kwargs)
 
     monkeypatch.setattr(lightshift, "sample_thermal_ensemble", counted)
-    with pytest.raises(CalibrationError):
-        calibrate_wall_width(10e-3, RingPotential(), n_atoms=200,
-                             bracket=(30e-6, 50e-6))
+    # every width of the bracket dephases faster than the 10 ms target
+    monkeypatch.setattr(lightshift, "simulate_coherence",
+                        _stepped_coherence(1.0e-3, 0.9e-3))
+    with pytest.raises(CalibrationError, match="outside the reachable range"):
+        calibrate_wall_width(10e-3, RingPotential(), n_atoms=200)
     assert len(draws) == 1
 
 
@@ -193,6 +197,23 @@ def test_coherence_rejects_bad_times(t_max, sample_dt):
     field, trap, ens = _soft_trap_and_cloud(10, 1)
     with pytest.raises(ValueError, match="t_max|sample_dt"):
         simulate_coherence(field, trap, ens, t_max=t_max, sample_dt=sample_dt)
+
+
+def test_coherence_rejects_nonfinite_gravity():
+    # on both trap kinds: no NaN C(t) whose 1/e time reads inf
+    field, soft, ens = _soft_trap_and_cloud(10, 1)
+    for trap in (TrapGeometry(radius=soft.radius), soft):
+        for g in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gravity must be finite"):
+                simulate_coherence(field, trap, ens, t_max=1e-4, gravity=g)
+
+
+def test_coherence_rejects_empty_ensemble():
+    field, soft, ens = _soft_trap_and_cloud(10, 1)
+    empty = AtomEnsemble(ens.positions[:0], ens.velocities[:0])
+    for trap in (TrapGeometry(radius=soft.radius), soft):
+        with pytest.raises(ValueError, match="at least one atom"):
+            simulate_coherence(field, trap, empty, t_max=1e-4)
 
 
 def test_coherence_stop_below_returns_the_full_run_prefix():

@@ -10,7 +10,7 @@ from boxmem.ensemble import propagate, sample_thermal_ensemble
 from boxmem.pipeline import (CSV_HEADER, MAX_WORKERS, PRESETS, ScenarioConfig,
                              curve_to_csv, preset, read_curve_csv,
                              run_scenario, write_curve_csv)
-from boxmem.spinwave import assign_excitation
+from boxmem.spinwave import assign_excitation, collinear_delta_k
 
 SMALL = dict(atoms=2000, times=np.arange(0.0, 4.0001e-3, 1e-3))
 
@@ -67,15 +67,17 @@ def test_phi2_coherence_matches_propagated_positions():
     g = cfg.effective_gravity()
     ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, gravity=g,
                                   seed=cfg.seed, spatial=cfg.spatial)
-    rec = assign_excitation(ens.positions, cfg.signal_mode())
+    w = assign_excitation(ens.positions, cfg.signal_mode())
     expected, current, t = [], ens, 0.0
     for ti in cfg.times:
         if ti > t:
             current = propagate(current, t, ti, trap=trap, gravity=g)
             t = ti
-        phase = (current.positions - ens.positions) @ rec.delta_k
-        expected.append(abs(np.sum(rec.weights**2 * np.exp(1j * phase))))
-    assert res.phi2_coherence == pytest.approx(expected, rel=0, abs=1e-12)
+        phase = (current.positions - ens.positions) @ collinear_delta_k()
+        expected.append(np.abs(np.exp(1j * phase) @ w**2))
+    # the general phase delta_k . (r - r0) has the bits of run_scenario's
+    # k_z (z - z0), as delta_k's transverse components are exactly zero
+    assert np.array_equal(res.phi2_coherence, expected)
     assert np.all(1.0 - res.phi2_coherence[1:] > 1e-9)    # it does dephase
 
 
