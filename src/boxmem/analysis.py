@@ -205,15 +205,10 @@ def find_extrema(times, values, window: int = 5,
         raise ValueError("window must be odd, positive and <= len(times)")
     if not (math.isfinite(noise_floor) and noise_floor >= 0):
         raise ValueError("noise_floor must be finite and non-negative")
-    if np.ptp(y) == 0:
-        return ExtremaReport([])
 
-    ys = y
-    if window > 1:
-        kernel = np.ones(window) / window
-        pad = window // 2
-        yp = np.concatenate([np.full(pad, y[0]), y, np.full(pad, y[-1])])
-        ys = np.convolve(yp, kernel, mode="valid")
+    pad = window // 2
+    yp = np.concatenate([np.full(pad, y[0]), y, np.full(pad, y[-1])])
+    ys = np.convolve(yp, np.ones(window) / window, mode="valid")
 
     d = np.diff(ys)
     # a flat step carries the slope before it: a candidate is the sample

@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="scenario file ([scenario] key=value)")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--atoms", type=int)
-    sim.add_argument("--workers", type=int,
-                     help="accepted and validated, but has no effect")
     sim.add_argument("--out", default="curve.csv")
 
     fit = sub.add_parser("fit", help="fit a decay model to a curve CSV")
@@ -73,7 +71,7 @@ def _cmd_simulate(args) -> int:
         cfg = preset(args.preset)
     else:
         cfg = parse_scenario_file(args.config)
-    overrides = {k: getattr(args, k) for k in ("seed", "atoms", "workers")
+    overrides = {k: getattr(args, k) for k in ("seed", "atoms")
                  if getattr(args, k) is not None}
     cfg = replace(cfg, **overrides)
     result = run_scenario(cfg)

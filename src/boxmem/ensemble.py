@@ -1,10 +1,10 @@
 """Thermal-ensemble sampling and ballistic propagation in the box trap.
 
-Atoms are stored struct-of-arrays (positions, velocities) since every
-operation is vectorized over the ensemble.  The random stream is a
-counter-based Philox generator keyed by the 64-bit master seed; samples are
-drawn in fixed atom-index order, so results are reproducible regardless of
-how downstream consumers chunk the arrays.
+Atoms are stored as two (n, 3) arrays, positions and velocities, one row
+per atom, and every operation is vectorized over the rows.  The random
+stream is a counter-based Philox generator keyed by the 64-bit master seed;
+samples are drawn in fixed atom-index order, so results are reproducible
+regardless of how downstream consumers chunk the arrays.
 
 Hard walls are event-driven (Alder & Wainwright, J. Chem. Phys. 31, 459
 (1959); Lehtihet & Miller, Physica D 21, 93 (1986)): an atom flies its exact
@@ -14,8 +14,11 @@ of the quartic's second derivative, a parabola, cut the flight into at most
 three pieces of one curvature sign each, and on each piece Newton's method
 converges monotonically from a side where it cannot pass a root.  Soft
 walls are integrated with velocity-Verlet sub-steps in place, on a
-contiguous copy of the transverse (2, n) state.  The end caps are hard, and
-the decoupled axial motion is folded exactly.
+contiguous copy of the transverse (2, n) state: the copy stays because
+flying the strided x and y columns in place made
+``calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=4000)`` take
+0.9-1.3 s against 0.7-0.8 s with it (2-vCPU host).  The end caps are hard,
+and the decoupled axial motion is folded exactly.
 
 Coordinates: z along the trap axis, y vertical (gravity acts along -y).
 """

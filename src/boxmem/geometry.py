@@ -7,6 +7,7 @@ radius, so atoms cannot leak out through the model's tail.  The end caps
 are hard.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,12 @@ class RingPotential:
     peak_depth: float = 45e-6     # K
 
     def __post_init__(self):
-        if self.ring_radius <= 0 or self.wall_width <= 0:
-            raise ValueError("ring_radius and wall_width must be positive")
-        if self.peak_depth < 0:
-            raise ValueError("peak_depth must be non-negative")
+        if not (0 < self.ring_radius < math.inf
+                and 0 < self.wall_width < math.inf):
+            raise ValueError(
+                "ring_radius and wall_width must be finite and positive")
+        if not 0 <= self.peak_depth < math.inf:
+            raise ValueError("peak_depth must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class TrapGeometry:
     ring: RingPotential | None = None   # a ring's flank makes the wall soft
 
     def __post_init__(self):
-        if self.radius <= 0 or self.length <= 0:
-            raise ValueError("radius and length must be positive")
+        if not (0 < self.radius < math.inf and 0 < self.length < math.inf):
+            raise ValueError("radius and length must be finite and positive")
 
 
 def potential_at(radius, ring: RingPotential):

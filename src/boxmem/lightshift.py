@@ -104,6 +104,10 @@ class ShiftField:
     ring: RingPotential
     epsilon: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
+
     def at_radius(self, rho):
         U = potential_at(rho, self.ring) * CONSTANTS.k_B
         return self.epsilon * differential_shift(U)
@@ -143,20 +147,17 @@ def simulate_coherence(
     t_max: float = 3e-3,
     sample_dt: float = 2e-5,
     gravity: float = CONSTANTS.g_earth,
-    *,
-    stop_below: float | None = None,
 ):
     """Dephasing curve C(t) = |mean exp(i phi_1)| of the given ``ensemble``
-    in the trap, every ``sample_dt`` up to ``t_max``; returns (times, C).
+    in the trap, sampled every ``sample_dt``; returns (times, C).
 
-    Accumulates the light-shift phase phi_1 with the trapezoidal rule one
-    sample interval at a time as the atoms are propagated (memory
-    O(n_atoms)), so long storage times are cheap; the ensemble is left alone.
-    With ``stop_below`` set, the run stops at the first sample i with
-    C[i] < stop_below and returns the samples 0..i; each of them has the
-    bits of the full run's, so ``stop_below=1/e`` leaves
-    ``one_over_e_time`` unchanged.  The Verlet sub-step is
-    ``soft_wall_dt`` of the ring's wall width; hard walls read none.
+    The run ends at its first sample i with C[i] < 1/e, the last sample
+    ``one_over_e_time`` reads, and returns the samples 0..i; a curve that
+    never falls that low runs to ``t_max``.  Accumulates the light-shift
+    phase phi_1 with the trapezoidal rule one sample interval at a time as
+    the atoms are propagated (memory O(n_atoms)); the ensemble is left
+    alone.  The Verlet sub-step is ``soft_wall_dt`` of the ring's wall
+    width; hard walls read none.
     """
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and non-negative")
@@ -178,7 +179,7 @@ def simulate_coherence(
         phi += 0.5 * (omega + omega_prev) * (times[i] - times[i - 1])
         omega_prev = omega
         coherence[i] = np.abs(np.exp(1j * phi).mean())
-        if stop_below is not None and coherence[i] < stop_below:
+        if coherence[i] < ONE_OVER_E:
             return times[:i + 1], coherence[:i + 1]
     return times, coherence
 
@@ -197,12 +198,12 @@ def calibrate_wall_width(
     on).  One thermal cloud of ``n_atoms`` at CALIBRATION_TEMPERATURE is
     drawn from ``seed`` per call; the trajectories themselves depend on the
     candidate width, so each candidate folds that same cloud through its
-    own trap, and the search is deterministic.  Each candidate's C(t) runs
-    only up to its first sample below 1/e, the last one its 1/e time reads;
-    a candidate that never goes below runs to ``4 * target_tau`` and has
-    tau = inf.  Monotonicity (thicker wall -> longer light exposure per
-    bounce -> shorter tau) is verified at the bracket ends before
-    bisecting, not assumed.
+    own trap, and the search is deterministic.  ``simulate_coherence`` ends
+    each candidate's C(t) at its first sample below 1/e; a candidate that
+    never goes below runs to ``4 * target_tau`` and has tau = inf.
+    Monotonicity (thicker wall -> longer light exposure per bounce ->
+    shorter tau) is verified at the bracket ends before bisecting, not
+    assumed.
 
     The attainable 1/e times form a staircase: coherent revival dips of
     C(t) make its 1/e crossing hop between dips as the width grows.  When
@@ -224,8 +225,7 @@ def calibrate_wall_width(
         cand_ring = replace(ring, wall_width=width)
         times, c = simulate_coherence(
             ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
-            t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0),
-            stop_below=ONE_OVER_E)
+            t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0))
         return one_over_e_time(times, c)
 
     lo, hi = CALIBRATION_BRACKET

@@ -159,7 +159,7 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     |sum w^2 exp(i k_z (z(t) - z(t0)))|, with k_z the axial wave number of
     ``collinear_delta_k``, so memory is O(n_atoms).
 
-    ``n_bootstrap`` > 0 additionally estimates the per-time Monte-Carlo
+    ``n_bootstrap`` >= 2 additionally estimates the per-time Monte-Carlo
     standard error of the overlap by resampling atoms with replacement;
     every replica is folded over the same pass, as the base ensemble
     weighted by how often the replica drew each atom, so all grids of one
@@ -167,6 +167,9 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     curve does not depend on ``n_bootstrap``.  The square root of each
     first-sample grid is taken once, by ``mode_overlap``, and kept.
     """
+    # one replica's standard error would be the ddof=1 spread of one value
+    if type(n_bootstrap) is not int or n_bootstrap < 0 or n_bootstrap == 1:
+        raise ValueError("n_bootstrap must be an int, 0 or at least 2")
     config.validate()
     trap = config.trap()
     gravity = config.effective_gravity()

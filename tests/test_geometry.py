@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,20 @@ def test_force_is_central():
 
 
 def test_invalid_ring_rejected():
-    with pytest.raises(ValueError):
-        RingPotential(wall_width=0.0)
-    with pytest.raises(ValueError):
-        RingPotential(peak_depth=-1e-6)
+    bad = [{"wall_width": 0.0}, {"peak_depth": -1e-6}]
+    # NaN and inf slip past a sign test alone
+    bad += [{name: value} for name in ("ring_radius", "wall_width",
+                                       "peak_depth")
+            for value in (math.nan, math.inf)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            RingPotential(**kwargs)
 
 
 def test_trap_geometry_validation():
-    with pytest.raises(ValueError):
-        TrapGeometry(radius=0.0)
-    with pytest.raises(ValueError):
-        TrapGeometry(length=-1e-3)
+    bad = [{"radius": 0.0}, {"length": -1e-3}]
+    bad += [{name: value} for name in ("radius", "length")
+            for value in (math.nan, math.inf)]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            TrapGeometry(**kwargs)

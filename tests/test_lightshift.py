@@ -125,6 +125,13 @@ def test_one_over_e_time_linear_interpolation():
     assert one_over_e_time(times, np.array([1.0, 0.9, 0.8])) == math.inf
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_shift_field_rejects_nonfinite_epsilon(epsilon):
+    # a NaN field would give a NaN C(t), whose 1/e time reads inf
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        ShiftField(RingPotential(), epsilon=epsilon)
+
+
 def test_calibration_rejects_bad_target(monkeypatch):
     def no_cloud(*args, **kwargs):
         raise AssertionError("bad input must be refused before sampling")
@@ -216,25 +223,41 @@ def test_coherence_rejects_empty_ensemble():
             simulate_coherence(field, trap, empty, t_max=1e-4)
 
 
-def test_coherence_stop_below_returns_the_full_run_prefix():
+def _full_coherence(field, trap, ensemble, t_max, sample_dt=2e-5,
+                    gravity=CONSTANTS.g_earth):
+    """simulate_coherence's C(t) on a soft trap, every sample up to t_max."""
+    dt = lightshift.soft_wall_dt(trap.ring.wall_width)
+    times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
+    phi = np.zeros(len(ensemble))
+    omega_prev = field.at(ensemble.positions)
+    coherence = [1.0]
+    current = ensemble
+    for t0, t1 in zip(times[:-1], times[1:]):
+        current = lightshift.propagate(current, t0, t1, dt=dt, trap=trap,
+                                       gravity=gravity)
+        omega = field.at(current.positions)
+        phi += 0.5 * (omega + omega_prev) * (t1 - t0)
+        omega_prev = omega
+        coherence.append(np.abs(np.exp(1j * phi).mean()))
+    return times, np.array(coherence)
+
+
+def test_coherence_ends_at_its_first_sample_below_1e():
     field, trap, ens = _soft_trap_and_cloud(500, 1)
-    times, c = simulate_coherence(field, trap, ens, t_max=1.5e-3)
-    k = int(np.flatnonzero(c < 1.0 / math.e)[0])
-    assert k < len(times) - 1            # the stop saves samples
-    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=1.5e-3,
-                                      stop_below=1.0 / math.e)
-    assert len(t_cut) == k + 1
-    assert np.array_equal(t_cut, times[:k + 1])
-    assert np.array_equal(c_cut, c[:k + 1])
+    times, c = _full_coherence(field, trap, ens, t_max=1.5e-3)
+    i = int(np.flatnonzero(c < 1.0 / math.e)[0])
+    assert i < len(times) - 1            # the curve goes on past sample i
+    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=1.5e-3)
+    assert np.array_equal(t_cut, times[:i + 1])
+    assert np.array_equal(c_cut, c[:i + 1])
     assert one_over_e_time(t_cut, c_cut) == one_over_e_time(times, c)
 
 
-def test_coherence_stop_below_never_reached_runs_to_t_max():
+def test_coherence_above_1e_runs_to_t_max():
     field, trap, ens = _soft_trap_and_cloud(500, 1)
-    times, c = simulate_coherence(field, trap, ens, t_max=0.2e-3)
+    times, c = _full_coherence(field, trap, ens, t_max=0.2e-3)
     assert c.min() >= 1.0 / math.e
-    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=0.2e-3,
-                                      stop_below=1.0 / math.e)
+    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=0.2e-3)
     assert np.array_equal(t_cut, times)
     assert np.array_equal(c_cut, c)
     assert one_over_e_time(t_cut, c_cut) == math.inf
@@ -244,7 +267,7 @@ def test_calibration_stops_each_candidate_at_its_first_sample_below_1e(
         monkeypatch):
     # One coherence run per candidate, one propagate of the whole cloud
     # per returned interval, and the same candidates, taus and width as
-    # a search that folds every candidate's full curve.
+    # a search that folds every candidate's full curve up to t_max.
     n_atoms = 400
     simulate, propagate = lightshift.simulate_coherence, lightshift.propagate
 
@@ -256,10 +279,9 @@ def test_calibration_stops_each_candidate_at_its_first_sample_below_1e(
             return propagate(ensemble, *args, **kwargs)
 
         def counted_simulate(field, trap, ensemble, *args, **kwargs):
-            if full_curve:
-                kwargs.pop("stop_below", None)
             runs.append({"width": trap.ring.wall_width, "sizes": []})
-            times, c = simulate(field, trap, ensemble, *args, **kwargs)
+            times, c = (_full_coherence if full_curve else simulate)(
+                field, trap, ensemble, *args, **kwargs)
             runs[-1].update(tau=one_over_e_time(times, c), samples=len(times))
             return times, c
 

@@ -111,6 +111,12 @@ def test_bootstrap_leaves_the_base_curve_alone():
     assert a == b
 
 
+@pytest.mark.parametrize("n_bootstrap", [1, -1, True, False, 2.0, "2", None])
+def test_bad_bootstrap_count_rejected(n_bootstrap):
+    with pytest.raises(ValueError, match="n_bootstrap must be an int"):
+        run_scenario(small_config(), n_bootstrap=n_bootstrap)
+
+
 def test_worker_count_does_not_change_output():
     a = curve_to_csv(run_scenario(small_config(workers=1)).curve)
     b = curve_to_csv(run_scenario(small_config(workers=4)).curve)

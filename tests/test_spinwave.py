@@ -372,7 +372,8 @@ def test_grid_resolution_convergence():
 def test_phase_evolution_from_light_shift():
     # two atoms at rest without gravity: one parked at the ring peak, one on
     # the axis.  Each accumulates omega(r) t, so the coherence of the pair is
-    # |cos((omega_peak - omega_axis) t / 2)|
+    # |cos((omega_peak - omega_axis) t / 2)|, sampled up to its first value
+    # below 1/e
     ring = RingPotential()
     field = ShiftField(ring)
     trap = TrapGeometry(radius=2.0 * ring.ring_radius)
@@ -383,4 +384,5 @@ def test_phase_evolution_from_light_shift():
     d_omega = field.at_radius(ring.ring_radius) - field.at_radius(0.0)
     expected = np.abs(np.cos(0.5 * d_omega * times))
     np.testing.assert_allclose(c, expected, rtol=0.0, atol=1e-9)
-    assert c[-1] < 0.1   # the peak atom really dephases from the axis atom
+    assert len(times) < 21       # the peak atom dephases from the axis atom
+    assert c[-1] < 1.0 / math.e <= c[:-1].min()
