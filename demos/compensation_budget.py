@@ -12,13 +12,12 @@ Run:  python3 demos/compensation_budget.py
 import math
 
 from boxmem.constants import CONSTANTS
-from boxmem.lightshift import (CompensationSpec, differential_shift,
-                               optimal_compensation_power, residual_lifetime,
-                               trap_detuning)
+from boxmem.lightshift import (differential_shift, optimal_compensation_power,
+                               residual_lifetime, trap_detuning)
 
-spec = CompensationSpec(trap_power=1.9, trap_wavelength=775e-9)
-delta = trap_detuning(spec.trap_wavelength)
-print(f"trap: {spec.trap_power:.1f} W at {spec.trap_wavelength * 1e9:.0f} nm, "
+trap_power, trap_wavelength = 1.9, 775e-9     # W, m
+delta = trap_detuning(trap_wavelength)
+print(f"trap: {trap_power:.1f} W at {trap_wavelength * 1e9:.0f} nm, "
       f"detuning 2 pi x {delta / (2 * math.pi) / 1e12:.2f} THz from the D2 line")
 
 u_peak = CONSTANTS.k_B * 45e-6          # 45 uK wall height
@@ -26,7 +25,7 @@ dw = differential_shift(u_peak)
 print(f"differential clock shift at the wall peak: "
       f"2 pi x {dw / (2 * math.pi) / 1e3:.2f} kHz")
 
-p_comp = optimal_compensation_power(spec)
+p_comp = optimal_compensation_power(trap_power, trap_wavelength)
 print(f"optimal compensation power: {p_comp * 1e6:.2f} uW "
       f"(P_trap x (omega_hf / 2 Delta)^2)")
 

@@ -158,12 +158,9 @@ def fit_double_exponential(points_t, points_y) -> FitResult:
             (1.0 - f) * t / t2**2 * e2,
         ])
 
-    best = None
-    for k, p0 in enumerate(starts):
-        p, rss, converged, cov = _levenberg_marquardt(residuals, jacobian, p0)
-        if best is None or rss < best[1]:
-            best = (p, rss, converged, cov, k)
-    p, rss, converged, cov, _ = best
+    p, rss, converged, cov = min(
+        (_levenberg_marquardt(residuals, jacobian, p0) for p0 in starts),
+        key=lambda fit: fit[1])
 
     f, t1, t2 = p
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -244,12 +241,9 @@ def find_extrema(times, values, window: int = 5,
         i = raw[j + (k - j) % 2]
         tt = t[i - 1:i + 2]              # every candidate has two neighbours
         vv = ys[i - 1:i + 2]
-        a, b, c = np.polyfit(tt, vv, 2)
-        if a != 0:
-            tv = -b / (2.0 * a)
-            if not tt[0] <= tv <= tt[-1]:
-                tv = t[i]
-        else:
+        a, b, _ = np.polyfit(tt, vv, 2)
+        tv = -b / (2.0 * a) if a != 0 else t[i]
+        if not tt[0] <= tv <= tt[-1]:
             tv = t[i]
         out.append((float(tv), float(y[i]), kind))
     return ExtremaReport(out)

@@ -12,8 +12,7 @@ from dataclasses import replace
 from .analysis import find_extrema, fit_double_exponential, fit_exponential
 from .config import parse_scenario_file
 from .errors import CalibrationError, NumericalError
-from .lightshift import (CompensationSpec, optimal_compensation_power,
-                         residual_lifetime)
+from .lightshift import optimal_compensation_power, residual_lifetime
 from .pipeline import PRESETS, preset, read_curve_csv, run_scenario, write_curve_csv
 from .render import write_svg
 from .spinwave import CURVE_COLUMNS, TOTAL_COLUMN, curve_column
@@ -67,10 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if args.preset:
-        cfg = preset(args.preset)
-    else:
-        cfg = parse_scenario_file(args.config)
+    cfg = (preset(args.preset) if args.preset
+           else parse_scenario_file(args.config))
     overrides = {k: getattr(args, k) for k in ("seed", "atoms")
                  if getattr(args, k) is not None}
     cfg = replace(cfg, **overrides)
@@ -119,11 +116,10 @@ def _cmd_extrema(args) -> int:
 
 
 def _cmd_compensation(args) -> int:
-    spec = CompensationSpec(trap_power=args.power,
-                            trap_wavelength=args.trap_nm * 1e-9)
+    power = optimal_compensation_power(args.power, args.trap_nm * 1e-9)
     tau0 = args.tau0_ms * 1e-3
     # every input and scaled result is checked before the first print
-    scaled = {"optimal_comp_power_uW": optimal_compensation_power(spec) * 1e6,
+    scaled = {"optimal_comp_power_uW": power * 1e6,
               "uncompensated_tau_ms": tau0 * 1e3}
     for eps in (0.01, 0.024, 0.10):
         scaled[f"epsilon={eps:.3g} residual_tau_ms"] = \

@@ -93,6 +93,9 @@ def sample_thermal_ensemble(
         raise ValueError("gravity must be finite and non-negative")
     if spatial not in ("thermal", "uniform"):
         raise ValueError("spatial must be 'thermal' or 'uniform'")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed <= 2**64 - 1):
+        raise ValueError("seed must be an integer in [0, 2**64 - 1]")
 
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -403,7 +406,7 @@ def propagate(
         _fly_hard(pos, vel, interval, trap.radius, gravity)
     else:
         def transverse(xy):
-            acc = transverse_force(xy.T, trap.ring, CONSTANTS.k_B).T
+            acc = transverse_force(xy.T, trap.ring).T
             acc /= CONSTANTS.m_atom
             acc[1] -= gravity
             return acc

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import CONSTANTS
+
 
 @dataclass(frozen=True)
 class RingPotential:
@@ -78,26 +80,26 @@ def _flank_gradient(s, edge, ring: RingPotential):
     return grad
 
 
-def transverse_force(xy, ring: RingPotential, k_B: float):
+def transverse_force(xy, ring: RingPotential):
     """Force (N) per transverse axis from the ring potential, shape (..., 2),
     and an exact 0 on the axis.  The result has the memory layout of ``xy``,
     so the transpose of a contiguous (2, n) array gives one back."""
     xy = np.asarray(xy, dtype=float)
     rho = np.hypot(xy[..., 0], xy[..., 1], out=np.empty(xy.shape[:-1]))
     grad = _flank_gradient(rho, ring.ring_radius, ring)
-    grad *= -k_B                    # J/m; -(g k_B), as rounding is symmetric
+    grad *= -CONSTANTS.k_B          # J/m; -(g k_B), as rounding is symmetric
     np.maximum(rho, 1e-300, out=rho)
     force = np.divide(xy, rho[..., None], out=np.empty_like(xy))
     force *= grad[..., None]
     return force
 
 
-def axial_force(z, ring: RingPotential, half_length: float, k_B: float):
+def axial_force(z, ring: RingPotential, half_length: float):
     """Force (N) along z from soft end-cap sheets (same flank width as the
     ring).  No trap reads it, as the end caps are hard; the benchmark's
     tracer (``bench/tracer.py``) still patches it by name in ``ensemble``."""
     z = np.asarray(z, dtype=float)
     grad = _flank_gradient(np.abs(z), half_length, ring)
-    grad *= -k_B
+    grad *= -CONSTANTS.k_B
     grad *= np.sign(z)
     return grad

@@ -33,22 +33,6 @@ CALIBRATION_BRACKET = (5e-6, 60e-6)  # m, the wall widths searched
 ONE_OVER_E = 1.0 / math.e  # the coherence that defines the dephasing time
 
 
-@dataclass(frozen=True)
-class CompensationSpec:
-    """Trap beam plus a weak compensation beam tuned midway between the
-    ground hyperfine components of the D2 line."""
-
-    trap_power: float = 1.9            # W
-    trap_wavelength: float = 775e-9    # m
-
-    def __post_init__(self):
-        if not (math.isfinite(self.trap_power) and self.trap_power >= 0):
-            raise ValueError("trap_power must be finite and non-negative")
-        if not (math.isfinite(self.trap_wavelength)
-                and self.trap_wavelength > 0):
-            raise ValueError("trap_wavelength must be finite and positive")
-
-
 def trap_detuning(wavelength: float) -> float:
     """Angular detuning (rad/s) of the trap light from the D2 line."""
     return 2.0 * math.pi * (CONSTANTS.c / wavelength
@@ -69,17 +53,24 @@ def differential_shift(U: float):
         * (CONSTANTS.omega_hf / RING_DETUNING)
 
 
-def optimal_compensation_power(spec: CompensationSpec) -> float:
-    """Compensation-beam power (W) that cancels the trap's differential shift,
+def optimal_compensation_power(trap_power: float = 1.9,
+                               trap_wavelength: float = 775e-9) -> float:
+    """Power (W) of a compensation beam, tuned midway between the ground
+    hyperfine components of the D2 line, that cancels the differential
+    shift of a trap beam of ``trap_power`` (W) at ``trap_wavelength`` (m),
     assuming identical spatial modes."""
-    delta = trap_detuning(spec.trap_wavelength)
+    if not (math.isfinite(trap_power) and trap_power >= 0):
+        raise ValueError("trap_power must be finite and non-negative")
+    if not (math.isfinite(trap_wavelength) and trap_wavelength > 0):
+        raise ValueError("trap_wavelength must be finite and positive")
+    delta = trap_detuning(trap_wavelength)
     if delta <= 0:
         raise ValueError("trap wavelength must be blue of the D2 line")
-    if spec.trap_wavelength > CONSTANTS.lambda_D2 * 0.99 \
+    if trap_wavelength > CONSTANTS.lambda_D2 * 0.99 \
             and abs(delta) < 10.0 * GAMMA_D2:
         raise NearResonanceError(
             "trap within 10 linewidths of the D2 line; far-detuned model invalid")
-    return spec.trap_power * (CONSTANTS.omega_hf / (2.0 * delta)) ** 2
+    return trap_power * (CONSTANTS.omega_hf / (2.0 * delta)) ** 2
 
 
 def residual_lifetime(tau_uncompensated: float, epsilon: float) -> float:
@@ -127,9 +118,14 @@ def soft_wall_dt(wall_width: float) -> float:
 
 
 def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
-    """First crossing of 1/e, linearly interpolated; inf if never crossed."""
-    target = ONE_OVER_E
-    below = np.flatnonzero(values < target)
+    """First crossing of 1/e, linearly interpolated; inf if never crossed.
+    ``times`` and ``values`` must be finite 1-d arrays of equal length."""
+    times, values = (np.asarray(a, dtype=float) for a in (times, values))
+    if not (times.ndim == 1 and values.shape == times.shape
+            and np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite 1-d arrays of "
+                         "equal length")
+    below = np.flatnonzero(values < ONE_OVER_E)
     if below.size == 0:
         return math.inf
     i = below[0]
@@ -137,7 +133,7 @@ def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
         return float(times[0])
     t0, t1 = times[i - 1], times[i]
     v0, v1 = values[i - 1], values[i]
-    return float(t0 + (v0 - target) / (v0 - v1) * (t1 - t0))
+    return float(t0 + (v0 - ONE_OVER_E) / (v0 - v1) * (t1 - t0))
 
 
 def simulate_coherence(

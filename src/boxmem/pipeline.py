@@ -23,9 +23,9 @@ from .constants import CONSTANTS
 from .ensemble import propagate, sample_thermal_ensemble
 from .errors import ConfigurationError
 from .geometry import TrapGeometry
-from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, ModeSpec,
-                       assign_excitation, collinear_delta_k, curve_column,
-                       density_estimate, efficiency_total, mode_overlap)
+from .spinwave import (CURVE_COLUMNS, EfficiencyCurve, assign_excitation,
+                       collinear_delta_k, curve_column, density_estimate,
+                       efficiency_total, mode_overlap)
 
 CSV_HEADER = ",".join(["t_ms", *CURVE_COLUMNS])
 MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
@@ -73,8 +73,12 @@ class ScenarioConfig:
 
     def validate(self):
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name}: must be finite")
+            if f.type is int and (isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer))):
+                raise ConfigurationError(f"{f.name}: must be an integer")
         checks = [
             ("atoms", 1 <= self.atoms <= MAX_ATOMS,
              f"must lie in [1, {MAX_ATOMS}]"),
@@ -111,10 +115,6 @@ class ScenarioConfig:
 
     def trap(self) -> TrapGeometry:
         return TrapGeometry(radius=self.trap_radius, length=self.trap_length)
-
-    def signal_mode(self) -> ModeSpec:
-        return ModeSpec(center=(self.mode_offset_x, self.mode_offset_y),
-                        waist_w0=self.mode_waist)
 
     def effective_gravity(self) -> float:
         return self.gravity if self.gravity_on else 0.0
@@ -177,7 +177,9 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     ens = sample_thermal_ensemble(
         config.atoms, trap, config.temperature, gravity=gravity,
         seed=config.seed, spatial=config.spatial)
-    weights = assign_excitation(ens.positions, config.signal_mode())
+    weights = assign_excitation(ens.positions,
+                                (config.mode_offset_x, config.mode_offset_y),
+                                config.mode_waist)
     k_z = collinear_delta_k()[2]        # the spin wave runs along the axis
 
     rng = np.random.Generator(np.random.Philox(
@@ -215,10 +217,8 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
         fast_fraction=config.loss_fast_fraction,
         tau_fast=config.loss_tau_fast, tau_slow=config.loss_tau_slow)
 
-    boot_se = None
-    if n_bootstrap > 0:
-        reps = overlap[1:] / overlap[1:, :1]
-        boot_se = reps.std(axis=0, ddof=1)
+    boot_se = (overlap[1:] / overlap[1:, :1]).std(axis=0, ddof=1) \
+        if n_bootstrap else None
 
     return ScenarioResult(config, curve, phi2_coh, boot_se)
 

@@ -30,10 +30,8 @@ def _axis_mapping(t_ms, values, log_y: bool):
     v_lo, v_hi = float(np.min(v)), float(np.max(v))
     if v_hi == v_lo:
         v_hi = v_lo + 1.0
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    sx = plot_w / (t_hi - t_lo)
-    sy = -plot_h / (v_hi - v_lo)
+    sx = (WIDTH - MARGIN_L - MARGIN_R) / (t_hi - t_lo)
+    sy = -(HEIGHT - MARGIN_T - MARGIN_B) / (v_hi - v_lo)
     x0 = MARGIN_L - sx * t_lo
     y0 = HEIGHT - MARGIN_B - sy * v_lo
     return x0, sx, y0, sy

@@ -27,37 +27,33 @@ from .errors import EmptyModeError, GridCoverageError
 MAX_OUTSIDE = 0.01  # share of the excitation weight allowed off the grid
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """Gaussian optical mode: 130 um signal / 550 um write-read diameters
-    are 1/e^2 intensity diameters, so the field waist is half of those."""
-
-    center: tuple[float, float] = (0.0, 0.0)  # m, transverse (x, y)
-    waist_w0: float = 65e-6                   # m
-
-    def __post_init__(self):
-        if not self.waist_w0 > 0:
-            raise ValueError("waist_w0 must be positive")
-
-
 def collinear_delta_k() -> np.ndarray:
     """delta_k for collinear beams split by the clock frequency (along z)."""
     return np.array([0.0, 0.0, 2.0 * math.pi * CONSTANTS.nu_hf / CONSTANTS.c])
 
 
-def assign_excitation(positions: np.ndarray, signal: ModeSpec) -> np.ndarray:
+def assign_excitation(positions: np.ndarray,
+                      center: tuple[float, float] = (0.0, 0.0),
+                      # 130 um signal / 550 um write-read diameters are
+                      # 1/e^2 intensity diameters; the field waist is half
+                      waist: float = 65e-6) -> np.ndarray:
     """The spin wave's weights: raw weight exp(-|r_perp - center|^2 / w0^2)
-    from the signal mode, normalized so that sum w^2 = 1.
+    from the signal mode at transverse ``center`` (x, y) (m) with field
+    waist w0 = ``waist`` (m), normalized so that sum w^2 = 1.
 
     The much larger write mode (275 um waist) varies by < 6% over the
     signal waist, so it is treated as uniform and takes no argument.
     """
+    if not all(map(math.isfinite, center)):
+        raise ValueError("center must be finite")
+    if not 0 < waist < math.inf:
+        raise ValueError("waist must be finite and positive")
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if len(positions) == 0:
         raise ValueError("at least one atom is required")
-    d2 = ((positions[:, 0] - signal.center[0]) ** 2
-          + (positions[:, 1] - signal.center[1]) ** 2)
-    raw = np.exp(-d2 / signal.waist_w0**2)
+    d2 = ((positions[:, 0] - center[0]) ** 2
+          + (positions[:, 1] - center[1]) ** 2)
+    raw = np.exp(-d2 / waist**2)
     if np.max(raw) < 1e-30:
         raise EmptyModeError("signal mode does not overlap the atomic cloud")
     return raw / np.sqrt(np.sum(raw**2))
@@ -121,7 +117,7 @@ def _blur_matrix(sigma: float, resolution: int) -> np.ndarray:
 def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
                      extent: float = 150e-6, resolution: int = 128,
                      bandwidth: float = 10e-6, counts: np.ndarray | None = None
-                     ) -> DensityGrid | list[DensityGrid]:
+                     ) -> list[DensityGrid]:
     """Kernel density estimate of the w^2 distribution on a square grid.
 
     Cloud-in-cell deposition followed by an isotropic Gaussian blur of
@@ -130,12 +126,12 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     is two BLAS products by ``_blur_matrix``, each summed over occupied rows
     or columns only, so a grid's last bits follow the BLAS kernel.
 
-    ``counts`` (B, n) are bootstrap multiplicities: a replica that draws
-    atom i k_i times is the same ensemble with mass k_i w_i^2.  With them
-    the result is the list [base grid, replica 1, ..., replica B], all
-    deposited from one stencil and blurred by the same matrix; each
-    replica's grid coverage is checked on its own mass.  Non-finite
-    weights, positions or counts raise ValueError, as do bad grid settings.
+    Returns [base grid, replica 1, ..., replica B], where ``counts`` (B, n)
+    are bootstrap multiplicities (B = 0 without them): a replica that draws
+    atom i k_i times is the same ensemble with mass k_i w_i^2.  All grids
+    share one stencil and one blur matrix; each replica's grid coverage is
+    checked on its own mass.  Non-finite weights, positions or counts raise
+    ValueError, as do bad grid settings.
     """
     weights = np.asarray(weights, dtype=float)
     positions_xy = np.asarray(positions_xy, dtype=float)
@@ -193,7 +189,7 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
         grid = (blur[:, rows] @ grid[rows])[:, cols] @ blur[cols]
         grid /= grid.sum() * cell * cell
         grids.append(DensityGrid(extent, resolution, grid))
-    return grids[0] if counts is None else grids
+    return grids
 
 
 def mode_overlap(u0: DensityGrid, ut: DensityGrid) -> float:

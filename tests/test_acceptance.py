@@ -15,10 +15,9 @@ from boxmem.analysis import find_extrema, fit_double_exponential, fit_exponentia
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import mechanical_energy, propagate, sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
-from boxmem.lightshift import (CompensationSpec, ShiftField,
-                               calibrate_wall_width, one_over_e_time,
-                               optimal_compensation_power, residual_lifetime,
-                               simulate_coherence)
+from boxmem.lightshift import (ShiftField, calibrate_wall_width,
+                               one_over_e_time, optimal_compensation_power,
+                               residual_lifetime, simulate_coherence)
 from boxmem.pipeline import curve_to_csv, preset, run_scenario
 from boxmem.render import render_svg
 from boxmem.spinwave import collinear_delta_k, density_estimate, mode_overlap
@@ -81,8 +80,8 @@ def test_criterion_01_overlap_oracle(capsys):
     slow = 0.0
     for d in (0.0, sigma / 2, sigma, 2 * sigma):
         t0 = time.perf_counter()
-        a = density_estimate(w, base, bandwidth=h)
-        b = density_estimate(w, base + np.array([0.0, d]), bandwidth=h)
+        [a] = density_estimate(w, base, bandwidth=h)
+        [b] = density_estimate(w, base + np.array([0.0, d]), bandwidth=h)
         r = mode_overlap(a, b)
         slow = max(slow, time.perf_counter() - t0)
         expected = math.exp(-d**2 / (4 * (sigma**2 + h**2)))
@@ -152,8 +151,7 @@ def test_criterion_04_gravity_ablation(capsys):
 
 
 def test_criterion_05_compensation_power(capsys):
-    p = optimal_compensation_power(
-        CompensationSpec(trap_power=1.9, trap_wavelength=775e-9))
+    p = optimal_compensation_power(trap_power=1.9, trap_wavelength=775e-9)
     ok = 2.5e-6 <= p <= 4.6e-6
     report(capsys, 5, "compensation-beam power", ok,
            f"{p * 1e6:.3f} uW in [2.5, 4.6] uW")
@@ -253,18 +251,18 @@ def test_criterion_10_invariant_suite(capsys):
 
     # spin-wave weight normalization (taken from a real pipeline run)
     cfg = preset("shortdecay", atoms=2000)
-    from boxmem.spinwave import ModeSpec, assign_excitation
+    from boxmem.spinwave import assign_excitation
     trap = cfg.trap()
     ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, seed=0)
-    w = assign_excitation(ens.positions, ModeSpec())
+    w = assign_excitation(ens.positions)
     checks["weight-norm"] = math.isclose(float(np.sum(w**2)), 1.0,
                                          rel_tol=1e-9)
 
     # overlap bounds and symmetry, unit-integral density
     rng = np.random.default_rng(1)
     w = np.full(5000, 5000**-0.5)
-    a = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
-    b = density_estimate(w, rng.normal(scale=50e-6, size=(5000, 2)))
+    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
+    [b] = density_estimate(w, rng.normal(scale=50e-6, size=(5000, 2)))
     r_ab, r_ba = mode_overlap(a, b), mode_overlap(b, a)
     checks["overlap-bounds-symmetry"] = (
         0.0 <= r_ab <= 1.0 and math.isclose(r_ab, r_ba, rel_tol=1e-12)

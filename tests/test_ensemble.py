@@ -77,6 +77,20 @@ def test_zero_temperature():
     assert np.all(ens.velocities == 0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 2.0, True, np.float64(3),
+                                  "1", None])
+def test_seed_must_be_a_philox_key(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_thermal_ensemble(10, TRAP, T15, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.int64(7), np.uint64(2**63)])
+def test_seed_accepts_any_philox_key(seed):
+    a = sample_thermal_ensemble(10, TRAP, T15, seed=seed)
+    b = sample_thermal_ensemble(10, TRAP, T15, seed=int(seed))
+    assert np.array_equal(a.positions, b.positions)
+
+
 def test_invalid_args():
     with pytest.raises(ValueError):
         sample_thermal_ensemble(0, TRAP, T15)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from boxmem.constants import CONSTANTS
 from boxmem.geometry import (RingPotential, TrapGeometry, _flank_gradient,
                              potential_at, transverse_force)
 
@@ -59,7 +58,7 @@ def test_gradient_zero_in_clamped_region():
 
 def test_transverse_force_points_inward():
     ring = RingPotential()
-    f = transverse_force(np.array([[90e-6, 0.0]]), ring, CONSTANTS.k_B)
+    f = transverse_force(np.array([[90e-6, 0.0]]), ring)
     assert f[0, 0] < 0.0          # pushes toward the axis
     assert f[0, 1] == pytest.approx(0.0)
 
@@ -67,7 +66,7 @@ def test_transverse_force_points_inward():
 def test_force_is_central():
     ring = RingPotential()
     xy = np.array([[60e-6, 45e-6]])     # rho = 75 um
-    f = transverse_force(xy, ring, CONSTANTS.k_B)
+    f = transverse_force(xy, ring)
     # force parallel (anti-parallel) to the position vector
     cross = f[0, 0] * xy[0, 1] - f[0, 1] * xy[0, 0]
     assert abs(cross) < 1e-30

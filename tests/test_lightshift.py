@@ -7,9 +7,8 @@ from boxmem import lightshift
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import AtomEnsemble, sample_thermal_ensemble
 from boxmem.errors import CalibrationError, NearResonanceError
-from boxmem.lightshift import (CompensationSpec, ShiftField,
-                               calibrate_wall_width, differential_shift,
-                               one_over_e_time,
+from boxmem.lightshift import (ShiftField, calibrate_wall_width,
+                               differential_shift, one_over_e_time,
                                optimal_compensation_power, residual_lifetime,
                                simulate_coherence, trap_detuning)
 from boxmem.geometry import RingPotential, TrapGeometry
@@ -37,29 +36,43 @@ def test_shift_magnitude_at_ring_peak():
 
 
 def test_compensation_power_default_beam():
-    p = optimal_compensation_power(CompensationSpec())
+    p = optimal_compensation_power()
     assert p == pytest.approx(3.286e-6, rel=1e-3)
+    assert p == optimal_compensation_power(1.9, 775e-9)
 
 
 def test_compensation_power_scales_with_trap_power():
-    p1 = optimal_compensation_power(CompensationSpec(trap_power=1.0))
-    p2 = optimal_compensation_power(CompensationSpec(trap_power=2.0))
+    p1 = optimal_compensation_power(trap_power=1.0)
+    p2 = optimal_compensation_power(trap_power=2.0)
     assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
 
 
 def test_compensation_power_grows_near_resonance():
     # smaller detuning -> larger relative shift -> more comp power
-    p_far = optimal_compensation_power(CompensationSpec(trap_wavelength=760e-9))
-    p_near = optimal_compensation_power(CompensationSpec(trap_wavelength=778e-9))
+    p_far = optimal_compensation_power(trap_wavelength=760e-9)
+    p_near = optimal_compensation_power(trap_wavelength=778e-9)
     assert p_near > p_far
 
 
 def test_compensation_rejects_red_and_near_resonant():
     with pytest.raises(ValueError):
-        optimal_compensation_power(CompensationSpec(trap_wavelength=790e-9))
+        optimal_compensation_power(trap_wavelength=790e-9)
     with pytest.raises(NearResonanceError):
-        optimal_compensation_power(
-            CompensationSpec(trap_wavelength=780.2411e-9))
+        optimal_compensation_power(trap_wavelength=780.2411e-9)
+
+
+@pytest.mark.parametrize("beam, match", [
+    ({"trap_power": math.nan}, "trap_power must be finite and non-negative"),
+    ({"trap_power": math.inf}, "trap_power"),
+    ({"trap_power": -1.0}, "trap_power"),
+    ({"trap_wavelength": math.nan},
+     "trap_wavelength must be finite and positive"),
+    ({"trap_wavelength": math.inf}, "trap_wavelength"),
+    ({"trap_wavelength": 0.0}, "trap_wavelength"),
+    ({"trap_wavelength": -775e-9}, "trap_wavelength")])
+def test_compensation_rejects_bad_beam(beam, match):
+    with pytest.raises(ValueError, match=match):
+        optimal_compensation_power(**beam)
 
 
 def test_residual_lifetime_examples():
@@ -125,6 +138,20 @@ def test_one_over_e_time_linear_interpolation():
     assert one_over_e_time(times, np.array([1.0, 0.9, 0.8])) == math.inf
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 0.2]),     # would read nan
+    ([0.0, 1.0, 2.0], [1.0, 0.5, math.inf]),
+    ([0.0, math.nan, 2.0], [1.0, 0.5, 0.2]),
+    ([0.0, 1.0, math.inf], [1.0, 0.5, 0.2]),
+    ([0.0, 1.0, 2.0], [1.0, 0.5]),               # would index past values
+    ([0.0, 1.0], [1.0, 0.5, 0.2]),
+    ([[0.0, 1.0, 2.0]], [[1.0, 0.5, 0.2]]),
+    (0.0, 1.0)])
+def test_one_over_e_time_rejects_bad_curves(times, values):
+    with pytest.raises(ValueError, match="finite 1-d arrays of equal length"):
+        one_over_e_time(times, values)
+
+
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_shift_field_rejects_nonfinite_epsilon(epsilon):
     # a NaN field would give a NaN C(t), whose 1/e time reads inf
@@ -143,6 +170,13 @@ def test_calibration_rejects_bad_target(monkeypatch):
     for tol in (math.nan, -0.05, 0.0, math.inf):
         with pytest.raises(ValueError, match="tol must be finite"):
             calibrate_wall_width(0.67e-3, RingPotential(), tol=tol)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "0"])
+def test_calibration_rejects_bad_seed(seed):
+    # a negative seed would overflow the Philox key's uint64
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        calibrate_wall_width(0.67e-3, RingPotential(), n_atoms=50, seed=seed)
 
 
 def _stepped_coherence(tau_thin, tau_thick):

@@ -42,6 +42,17 @@ def test_config_validation_messages():
             cfg.validate()
 
 
+@pytest.mark.parametrize("name", ["atoms", "seed", "grid_resolution",
+                                  "workers"])
+@pytest.mark.parametrize("value", [True, 1.5, 64.0, np.float64(8), "8"])
+def test_config_integer_fields_refuse_other_types(name, value):
+    # a float or bool seed would run as its integer part, and a float grid
+    # resolution would fail only after sampling and propagation
+    small_config(**{name: np.int64(8)}).validate()
+    with pytest.raises(ConfigurationError, match=f"{name}: must be an integer"):
+        small_config(**{name: value}).validate()
+
+
 def test_curve_first_row_normalized():
     res = run_scenario(small_config())
     c = res.curve
@@ -67,7 +78,9 @@ def test_phi2_coherence_matches_propagated_positions():
     g = cfg.effective_gravity()
     ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, gravity=g,
                                   seed=cfg.seed, spatial=cfg.spatial)
-    w = assign_excitation(ens.positions, cfg.signal_mode())
+    w = assign_excitation(ens.positions,
+                          (cfg.mode_offset_x, cfg.mode_offset_y),
+                          cfg.mode_waist)
     expected, current, t = [], ens, 0.0
     for ti in cfg.times:
         if ti > t:

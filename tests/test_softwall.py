@@ -95,14 +95,14 @@ def test_forces_match_where_forms():
     xy[:6] = [[0.0, 0.0], [r, 0.0], [0.0, -r], [-r, 0.0],
               [2.0 * r, 0.0], [1.0, -1.0]]
     for pts in (xy, xy[:1], xy[0], np.ascontiguousarray(xy.T).T):
-        got = transverse_force(pts, RING, K_B)
+        got = transverse_force(pts, RING)
         assert got.shape == pts.shape
         assert np.array_equal(got, _transverse_force_where(pts, RING, K_B))
-    assert np.all(transverse_force(xy[:1], RING, K_B) == 0.0)   # the axis
+    assert np.all(transverse_force(xy[:1], RING) == 0.0)   # the axis
 
     z = rng.uniform(-1.2 * HALF, 1.2 * HALF, size=4000)
     z[:5] = [0.0, HALF, -HALF, 2.0 * HALF, -1.0]
-    assert np.array_equal(axial_force(z, RING, HALF, K_B),
+    assert np.array_equal(axial_force(z, RING, HALF),
                           _axial_force_where(z, RING, HALF, K_B))
 
     rho = np.abs(xy[:, 0])

@@ -11,9 +11,9 @@ from boxmem.ensemble import AtomEnsemble
 from boxmem.errors import EmptyModeError, GridCoverageError
 from boxmem.geometry import RingPotential, TrapGeometry
 from boxmem.lightshift import ShiftField, simulate_coherence
-from boxmem.spinwave import (ModeSpec, _blur_matrix, assign_excitation,
-                             atom_survival, collinear_delta_k,
-                             density_estimate, efficiency_total, mode_overlap)
+from boxmem.spinwave import (_blur_matrix, assign_excitation, atom_survival,
+                             collinear_delta_k, density_estimate,
+                             efficiency_total, mode_overlap)
 
 
 def test_spinwave_wavelength_collinear():
@@ -28,7 +28,7 @@ def test_spinwave_wavelength_collinear():
 def test_excitation_weights_normalized():
     rng = np.random.default_rng(0)
     pos = rng.normal(scale=50e-6, size=(5000, 3))
-    w = assign_excitation(pos, ModeSpec())
+    w = assign_excitation(pos)
     assert np.sum(w**2) == pytest.approx(1.0, rel=1e-12)
     assert 1.0 / np.sum(w**4) > 1.0    # participation number
 
@@ -41,20 +41,19 @@ def test_excitation_weights_normalized():
 def test_excitation_weights_have_unit_norm(seed, n, spread, center, waist):
     rng = np.random.default_rng(seed)
     pos = rng.normal(scale=spread, size=(n, 3))
-    mode = ModeSpec(center=center, waist_w0=waist)
     d2 = (pos[:, 0] - center[0]) ** 2 + (pos[:, 1] - center[1]) ** 2
     if np.max(np.exp(-d2 / waist**2)) < 1e-30:
         with pytest.raises(EmptyModeError):
-            assign_excitation(pos, mode)
+            assign_excitation(pos, center, waist)
         return
-    w = assign_excitation(pos, mode)
+    w = assign_excitation(pos, center, waist)
     assert np.all(w >= 0)
     assert np.sum(w**2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_excitation_favors_mode_center():
     pos = np.array([[0.0, 0.0, 0.0], [100e-6, 0.0, 0.0]])
-    w = assign_excitation(pos, ModeSpec())
+    w = assign_excitation(pos)
     assert w[0] > w[1]
     # exp(-(100/65)^2) raw ratio survives normalization
     assert w[1] / w[0] == pytest.approx(
@@ -64,20 +63,30 @@ def test_excitation_favors_mode_center():
 def test_empty_mode_rejected():
     pos = np.array([[1.0, 1.0, 0.0]])     # a metre away from the beam
     with pytest.raises(EmptyModeError):
-        assign_excitation(pos, ModeSpec())
+        assign_excitation(pos)
 
 
-@pytest.mark.parametrize("waist", [0.0, -65e-6, math.nan])
-def test_mode_spec_rejects_bad_waist(waist):
-    with pytest.raises(ValueError):
-        ModeSpec(waist_w0=waist)
+@pytest.mark.parametrize("waist", [0.0, -65e-6, math.nan, math.inf])
+def test_excitation_rejects_bad_waist(waist):
+    # an infinite waist would weight every atom equally
+    with pytest.raises(ValueError, match="waist must be finite and positive"):
+        assign_excitation(np.zeros((3, 3)), waist=waist)
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf),
+                                    (-math.inf, 0.0)],
+                         ids=["nan-x", "inf-y", "-inf-x"])
+def test_excitation_rejects_bad_center(center):
+    # a NaN center would give all-NaN weights
+    with pytest.raises(ValueError, match="center must be finite"):
+        assign_excitation(np.zeros((3, 3)), center=center)
 
 
 def test_density_unit_integral():
     rng = np.random.default_rng(1)
     pos = rng.normal(scale=40e-6, size=(20000, 2))
     w = np.full(20000, 1.0 / math.sqrt(20000))
-    grid = density_estimate(w, pos)
+    [grid] = density_estimate(w, pos)
     assert grid.values.sum() * grid.cell_area == pytest.approx(1.0, rel=1e-9)
     assert np.all(grid.values >= 0.0)
 
@@ -98,7 +107,7 @@ def test_density_second_moment_includes_bandwidth():
     h = 10e-6
     pos = rng.normal(scale=sigma, size=(200000, 2))
     w = np.full(len(pos), 1.0 / math.sqrt(len(pos)))
-    grid = density_estimate(w, pos, bandwidth=h)
+    [grid] = density_estimate(w, pos, bandwidth=h)
     vx, vy = _second_moments(grid)
     assert vx == pytest.approx(sigma**2 + h**2, rel=0.02)
     assert vy == pytest.approx(sigma**2 + h**2, rel=0.02)
@@ -159,7 +168,7 @@ def _tagged_cloud(n, seed):
     """n atoms of a cloud wider than the grid, tagged by the signal mode."""
     rng = np.random.default_rng(seed)
     pos = rng.normal(scale=70e-6, size=(n, 2))
-    return assign_excitation(pos, ModeSpec()), pos
+    return assign_excitation(pos), pos
 
 
 def _narrow_clouds(n, resolution, seed):
@@ -182,7 +191,7 @@ def test_density_matches_add_at_deposit(n, resolution):
     # off-grid atom deposits zero mass: neither moves a bit
     for w, pos in [_tagged_cloud(n, seed=n + resolution),
                    *_narrow_clouds(n, resolution, seed=n + resolution)]:
-        grid = density_estimate(w, pos, resolution=resolution)
+        [grid] = density_estimate(w, pos, resolution=resolution)
         want = _density_estimate_add_at(w, pos, resolution=resolution)
         assert np.array_equal(grid.values, want)
         counts = np.random.default_rng(5).integers(0, 3, size=(2, len(w)))
@@ -190,6 +199,14 @@ def test_density_matches_add_at_deposit(n, resolution):
         grids = density_estimate(w, pos, resolution=resolution, counts=counts)
         assert len(grids) == 3
         assert np.array_equal(grids[0].values, want)
+
+
+def test_density_without_counts_is_the_base_grid_alone():
+    w, pos = _tagged_cloud(5000, seed=8)
+    grids = density_estimate(w, pos)
+    [base] = density_estimate(w, pos, counts=np.empty((0, len(w))))
+    assert isinstance(grids, list) and len(grids) == 1
+    assert np.array_equal(grids[0].values, base.values)
 
 
 @pytest.mark.parametrize("change", [
@@ -228,7 +245,7 @@ def test_replica_counts_match_gathered_replica(seed):
     counts = np.array([np.bincount(idx, minlength=len(w)) for idx in picks])
     grids = density_estimate(w, pos, counts=counts)
     for idx, got in zip(picks, grids[1:]):
-        want = density_estimate(w[idx], pos[idx]).values
+        want = density_estimate(w[idx], pos[idx])[0].values
         assert np.max(np.abs(got.values - want)) <= 1e-15 * want.max()
     # a replica that draws every atom once is the base ensemble, bit for bit
     once = density_estimate(w, pos, counts=np.ones((1, len(w))))
@@ -251,8 +268,8 @@ def test_replica_coverage_is_checked_on_its_own_mass():
 def test_overlap_identity_and_symmetry():
     rng = np.random.default_rng(3)
     w = np.full(10000, 1.0 / 100.0)
-    a = density_estimate(w, rng.normal(scale=30e-6, size=(10000, 2)))
-    b = density_estimate(w, rng.normal(scale=45e-6, size=(10000, 2)))
+    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(10000, 2)))
+    [b] = density_estimate(w, rng.normal(scale=45e-6, size=(10000, 2)))
     assert mode_overlap(a, a) == pytest.approx(1.0, rel=1e-9)
     r_ab, r_ba = mode_overlap(a, b), mode_overlap(b, a)
     assert r_ab == pytest.approx(r_ba, rel=1e-12)
@@ -266,7 +283,7 @@ def test_overlap_identity_and_symmetry():
 def test_overlap_symmetric_bounded_and_one_on_itself(seed, n, spreads,
                                                      resolution, bandwidth):
     rng = np.random.default_rng(seed)
-    a, b = (density_estimate(
+    [a], [b] = (density_estimate(
         rng.random(n) + 0.01,
         np.clip(rng.normal(scale=s, size=(n, 2)), -140e-6, 140e-6),
         resolution=resolution, bandwidth=bandwidth) for s in spreads)
@@ -284,8 +301,8 @@ def test_overlap_gaussian_closed_form():
     w = np.full(n, n**-0.5)
     d = 40e-6
     h = 3e-6
-    a = density_estimate(w, base, bandwidth=h)
-    b = density_estimate(w, base + np.array([d, 0.0]), bandwidth=h)
+    [a] = density_estimate(w, base, bandwidth=h)
+    [b] = density_estimate(w, base + np.array([d, 0.0]), bandwidth=h)
     s2 = (30e-6) ** 2 + h**2
     assert mode_overlap(a, b) == pytest.approx(
         math.exp(-d**2 / (4 * s2)), rel=0.01)
@@ -294,8 +311,8 @@ def test_overlap_gaussian_closed_form():
 def test_overlap_roots_first_grid_once():
     rng = np.random.default_rng(6)
     w = np.full(5000, 5000**-0.5)
-    a = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
-    b = density_estimate(w, rng.normal(scale=40e-6, size=(5000, 2)))
+    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
+    [b] = density_estimate(w, rng.normal(scale=40e-6, size=(5000, 2)))
     bc = np.sum(np.sqrt(a.values) * np.sqrt(b.values)) * a.cell_area
     assert mode_overlap(a, b) == float(bc) ** 2
     assert a.root is a.root and np.array_equal(a.root, np.sqrt(a.values))
@@ -303,8 +320,8 @@ def test_overlap_roots_first_grid_once():
 
 def test_overlap_requires_matching_grids():
     w = np.array([1.0])
-    a = density_estimate(w, np.zeros((1, 2)), resolution=64)
-    b = density_estimate(w, np.zeros((1, 2)), resolution=128)
+    [a] = density_estimate(w, np.zeros((1, 2)), resolution=64)
+    [b] = density_estimate(w, np.zeros((1, 2)), resolution=128)
     with pytest.raises(ValueError):
         mode_overlap(a, b)
 
@@ -363,8 +380,8 @@ def test_grid_resolution_convergence():
     w = np.full(n, n**-0.5)
     vals = []
     for res in (128, 256):
-        a = density_estimate(w, base, resolution=res)
-        b = density_estimate(w, moved, resolution=res)
+        [a] = density_estimate(w, base, resolution=res)
+        [b] = density_estimate(w, moved, resolution=res)
         vals.append(mode_overlap(a, b))
     assert vals[0] == pytest.approx(vals[1], rel=0.01)
 
