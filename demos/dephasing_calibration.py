@@ -12,16 +12,15 @@ import math
 
 from boxmem.ensemble import sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry
-from boxmem.lightshift import (ShiftField, calibrate_wall_width,
-                               one_over_e_time, simulate_coherence)
+from boxmem.lightshift import (calibrate_wall_width, one_over_e_time,
+                               simulate_coherence)
 
 
 def tau_for_width(width, n_atoms=5000):
     ring = RingPotential(wall_width=width)
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6)
-    times, c = simulate_coherence(ShiftField(ring), trap, ens, t_max=3e-3,
-                                  sample_dt=2e-5)
+    times, c = simulate_coherence(ring, ens, t_max=3e-3, sample_dt=2e-5)
     return one_over_e_time(times, c)
 
 

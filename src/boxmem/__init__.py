@@ -7,7 +7,7 @@ from .constants import CONSTANTS, PhysicalConstants
 from .ensemble import (AtomEnsemble, mechanical_energy, propagate,
                        sample_thermal_ensemble)
 from .geometry import RingPotential, TrapGeometry, potential_at
-from .lightshift import (ShiftField, calibrate_wall_width, differential_shift,
+from .lightshift import (calibrate_wall_width, differential_shift,
                          one_over_e_time, optimal_compensation_power,
                          residual_lifetime, simulate_coherence, trap_detuning)
 from .pipeline import (PRESETS, ScenarioConfig, ScenarioResult, preset,

@@ -198,8 +198,9 @@ def find_extrema(times, values, window: int = 5,
         raise ValueError("at least 5 points are required")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("times and values must be finite")
-    if window < 1 or window % 2 == 0 or window > len(t):
-        raise ValueError("window must be odd, positive and <= len(times)")
+    if (isinstance(window, bool) or not isinstance(window, (int, np.integer))
+            or window < 1 or window % 2 == 0 or window > len(t)):
+        raise ValueError("window must be an odd integer in [1, len(times)]")
     if not (math.isfinite(noise_floor) and noise_floor >= 0):
         raise ValueError("noise_floor must be finite and non-negative")
 

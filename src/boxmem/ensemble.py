@@ -55,8 +55,9 @@ class AtomEnsemble:
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.velocities = np.atleast_2d(np.asarray(self.velocities, dtype=float))
-        if self.positions.shape != self.velocities.shape:
-            raise ValueError("positions and velocities must have equal shapes")
+        if not (self.positions.ndim == 2 and self.positions.shape[1] == 3
+                and self.velocities.shape == self.positions.shape):
+            raise ValueError("positions and velocities must both be (n, 3)")
 
     def __len__(self):
         return len(self.positions)
@@ -85,8 +86,8 @@ def sample_thermal_ensemble(
     NumericalError where under MIN_ACCEPTANCE of the positions drawn would
     be kept.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     if not np.isfinite(temperature) or temperature < 0:
         raise ValueError("temperature must be finite and non-negative")
     if not (np.isfinite(gravity) and gravity >= 0):

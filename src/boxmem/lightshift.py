@@ -18,7 +18,7 @@ The D1 contribution at 775 nm is ~7% in 1/Delta^2 and is dropped.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,28 +87,6 @@ def residual_lifetime(tau_uncompensated: float, epsilon: float) -> float:
     return tau_uncompensated / epsilon
 
 
-@dataclass(frozen=True)
-class ShiftField:
-    """Transverse map r -> delta_omega(r) (rad/s) of the 775 nm ring light;
-    ``epsilon`` scales it for compensated operation."""
-
-    ring: RingPotential
-    epsilon: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-
-    def at_radius(self, rho):
-        U = potential_at(rho, self.ring) * CONSTANTS.k_B
-        return self.epsilon * differential_shift(U)
-
-    def at(self, xy):
-        """Shift at each row's (x, y); columns past y, such as z, are unread."""
-        xy = np.asarray(xy, dtype=float)
-        return self.at_radius(np.hypot(xy[..., 0], xy[..., 1]))
-
-
 def soft_wall_dt(wall_width: float) -> float:
     """Verlet sub-step (s), at most DEFAULT_DT, that resolves a soft flank of
     ``wall_width`` in >= ~12 steps at 5 sigma of CALIBRATION_TEMPERATURE."""
@@ -136,16 +114,22 @@ def one_over_e_time(times: np.ndarray, values: np.ndarray) -> float:
     return float(t0 + (v0 - ONE_OVER_E) / (v0 - v1) * (t1 - t0))
 
 
+def _ring_shift(positions, ring: RingPotential):
+    """Differential shift (rad/s) of the ring's light at each row's (x, y)."""
+    rho = np.hypot(positions[:, 0], positions[:, 1])
+    return differential_shift(potential_at(rho, ring) * CONSTANTS.k_B)
+
+
 def simulate_coherence(
-    field: ShiftField,
-    trap: TrapGeometry,
+    ring: RingPotential,
     ensemble: AtomEnsemble,
     t_max: float = 3e-3,
     sample_dt: float = 2e-5,
     gravity: float = CONSTANTS.g_earth,
 ):
     """Dephasing curve C(t) = |mean exp(i phi_1)| of the given ``ensemble``
-    in the trap, sampled every ``sample_dt``; returns (times, C).
+    in the soft-walled trap of ``ring``, whose light also shifts the clock
+    transition, sampled every ``sample_dt``; returns (times, C).
 
     The run ends at its first sample i with C[i] < 1/e, the last sample
     ``one_over_e_time`` reads, and returns the samples 0..i; a curve that
@@ -153,7 +137,7 @@ def simulate_coherence(
     phase phi_1 with the trapezoidal rule one sample interval at a time as
     the atoms are propagated (memory O(n_atoms)); the ensemble is left
     alone.  The Verlet sub-step is ``soft_wall_dt`` of the ring's wall
-    width; hard walls read none.
+    width.
     """
     if not 0 <= t_max < math.inf:
         raise ValueError("t_max must be finite and non-negative")
@@ -161,17 +145,18 @@ def simulate_coherence(
         raise ValueError("sample_dt must be finite and positive")
     if len(ensemble) == 0:
         raise ValueError("the ensemble must hold at least one atom")
-    dt = DEFAULT_DT if trap.ring is None else soft_wall_dt(trap.ring.wall_width)
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
+    dt = soft_wall_dt(ring.wall_width)
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
-    omega_prev = field.at(ensemble.positions)
+    omega_prev = _ring_shift(ensemble.positions, ring)
     coherence = np.empty(len(times))
     coherence[0] = 1.0
     current = ensemble
     for i in range(1, len(times)):
         current = propagate(current, times[i - 1], times[i], dt=dt, trap=trap,
                             gravity=gravity)
-        omega = field.at(current.positions)
+        omega = _ring_shift(current.positions, ring)
         phi += 0.5 * (omega + omega_prev) * (times[i] - times[i - 1])
         omega_prev = omega
         coherence[i] = np.abs(np.exp(1j * phi).mean())
@@ -218,9 +203,8 @@ def calibrate_wall_width(
                                     seed=seed)
 
     def tau_of(width: float) -> float:
-        cand_ring = replace(ring, wall_width=width)
         times, c = simulate_coherence(
-            ShiftField(cand_ring), replace(trap, ring=cand_ring), cloud,
+            replace(ring, wall_width=width), cloud,
             t_max=4.0 * target_tau, sample_dt=min(2e-5, target_tau / 30.0))
         return one_over_e_time(times, c)
 

@@ -44,8 +44,8 @@ def assign_excitation(positions: np.ndarray,
     The much larger write mode (275 um waist) varies by < 6% over the
     signal waist, so it is treated as uniform and takes no argument.
     """
-    if not all(map(math.isfinite, center)):
-        raise ValueError("center must be finite")
+    if not (len(center) == 2 and all(map(math.isfinite, center))):
+        raise ValueError("center must be finite and two numbers (x, y)")
     if not 0 < waist < math.inf:
         raise ValueError("waist must be finite and positive")
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -147,7 +147,9 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     if not (math.isfinite(bandwidth) and bandwidth > 0
             and math.isfinite(extent) and extent > 0):
         raise ValueError("bandwidth and extent must be finite and positive")
-    if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
+    if (isinstance(resolution, bool)
+            or not isinstance(resolution, (int, np.integer))
+            or resolution < 1):
         raise ValueError("resolution must be an integer >= 1")
     mass = weights**2
     total = float(np.sum(mass))

@@ -15,9 +15,9 @@ from boxmem.analysis import find_extrema, fit_double_exponential, fit_exponentia
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import mechanical_energy, propagate, sample_thermal_ensemble
 from boxmem.geometry import RingPotential, TrapGeometry, potential_at
-from boxmem.lightshift import (ShiftField, calibrate_wall_width,
-                               one_over_e_time, optimal_compensation_power,
-                               residual_lifetime, simulate_coherence)
+from boxmem.lightshift import (calibrate_wall_width, one_over_e_time,
+                               optimal_compensation_power, residual_lifetime,
+                               simulate_coherence)
 from boxmem.pipeline import curve_to_csv, preset, run_scenario
 from boxmem.render import render_svg
 from boxmem.spinwave import collinear_delta_k, density_estimate, mode_overlap
@@ -175,9 +175,8 @@ def test_criterion_06_spinwave_wavelength(capsys):
 def _soft_tau(width, n_atoms=10_000, seed=0):
     ring = RingPotential(wall_width=width)
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
-    field = ShiftField(ring)
     ens = sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
-    times, c = simulate_coherence(field, trap, ens, t_max=3e-3, sample_dt=2e-5)
+    times, c = simulate_coherence(ring, ens, t_max=3e-3, sample_dt=2e-5)
     return one_over_e_time(times, c)
 
 
@@ -296,10 +295,8 @@ def test_criterion_10_invariant_suite(capsys):
         n_lo / n_hi == pytest.approx(math.exp(100e-6 / scale), rel=0.05))
 
     # dephasing coherence: C(0) = 1 and 0 <= C <= 1
-    field = ShiftField(ring)
     _, c = simulate_coherence(
-        field, soft, sample_thermal_ensemble(500, soft, 15e-6, seed=4),
-        t_max=1e-3)
+        ring, sample_thermal_ensemble(500, soft, 15e-6, seed=4), t_max=1e-3)
     checks["coherence-bounds"] = (c[0] == 1.0
                                   and bool(np.all((c >= 0) & (c <= 1 + 1e-12))))
 

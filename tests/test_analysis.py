@@ -201,14 +201,19 @@ def test_extrema_shift_invariance():
         [tt for tt, _, _ in b.extrema], abs=1e-9)
 
 
+@pytest.mark.parametrize("window", [4, 0, 101, 3.0, True],
+                         ids=["even", "zero", "past-the-curve", "float",
+                              "bool"])
+def test_extrema_rejects_bad_window(window):
+    t = np.linspace(0.0, 1.0, 100)
+    with pytest.raises(ValueError, match="window"):
+        find_extrema(t, np.cos(t), window=window)
+
+
 def test_extrema_validation():
     t = np.linspace(0.0, 1.0, 100)
     with pytest.raises(ValueError):
         find_extrema(t[:3], np.ones(3))
-    with pytest.raises(ValueError):
-        find_extrema(t, np.cos(t), window=4)
-    with pytest.raises(ValueError, match="window"):
-        find_extrema(t, np.cos(t), window=101)      # longer than the curve
     for floor in (np.nan, np.inf, -np.inf, -0.01):
         with pytest.raises(ValueError, match="noise_floor"):
             find_extrema(t, np.cos(10 * t), noise_floor=floor)

@@ -59,8 +59,7 @@ def test_traced_calls_reach_every_layer(tracer):
     cloud = sample_thermal_ensemble(50, soft, 15e-6)
     with tracer.Tracer() as t:
         pipeline.run_scenario(cfg)
-        lightshift.simulate_coherence(lightshift.ShiftField(soft.ring), soft,
-                                      cloud, t_max=4e-5)
+        lightshift.simulate_coherence(soft.ring, cloud, t_max=4e-5)
     metrics = tracer.layer_metrics(t.spans, wall_s=1.0)
     # a call that bypasses a patched module global would read 0 here
     names = [span.name for span in t.spans]

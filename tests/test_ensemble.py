@@ -91,6 +91,21 @@ def test_seed_accepts_any_philox_key(seed):
     assert np.array_equal(a.positions, b.positions)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, True, np.float64(3), "10",
+                               None])
+def test_atom_count_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_thermal_ensemble(n, TRAP, T15)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (4,), (2, 3, 3), (0,)])
+def test_ensemble_must_be_n_by_3(shape):
+    # a (4, 2) ensemble would fail inside propagate, a (2, 4) one would
+    # propagate silently
+    with pytest.raises(ValueError, match=r"\(n, 3\)"):
+        AtomEnsemble(np.zeros(shape), np.zeros(shape))
+
+
 def test_invalid_args():
     with pytest.raises(ValueError):
         sample_thermal_ensemble(0, TRAP, T15)

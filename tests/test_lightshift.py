@@ -7,11 +7,11 @@ from boxmem import lightshift
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import AtomEnsemble, sample_thermal_ensemble
 from boxmem.errors import CalibrationError, NearResonanceError
-from boxmem.lightshift import (ShiftField, calibrate_wall_width,
-                               differential_shift, one_over_e_time,
-                               optimal_compensation_power, residual_lifetime,
-                               simulate_coherence, trap_detuning)
-from boxmem.geometry import RingPotential, TrapGeometry
+from boxmem.lightshift import (calibrate_wall_width, differential_shift,
+                               one_over_e_time, optimal_compensation_power,
+                               residual_lifetime, simulate_coherence,
+                               trap_detuning)
+from boxmem.geometry import RingPotential, TrapGeometry, potential_at
 
 
 def test_trap_detuning_775nm():
@@ -87,46 +87,14 @@ def test_residual_lifetime_examples():
         residual_lifetime(-1.0, 0.01)
 
 
-def test_shift_field_epsilon_scaling():
-    field = ShiftField(RingPotential())
-    rho = np.linspace(0.0, 120e-6, 50)
-    full = field.at_radius(rho)
-    tenth = ShiftField(RingPotential(), epsilon=0.1).at_radius(rho)
-    assert np.allclose(tenth, 0.1 * full, rtol=1e-12)
-
-
 def test_coherence_starts_at_one_and_bounded():
     ring = RingPotential()
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
-    field = ShiftField(ring)
     ens = sample_thermal_ensemble(500, trap, 15e-6, seed=1)
-    times, c = simulate_coherence(field, trap, ens, t_max=1.5e-3)
+    times, c = simulate_coherence(ring, ens, t_max=1.5e-3)
     assert c[0] == 1.0
     assert np.all((c >= 0.0) & (c <= 1.0 + 1e-12))
     assert one_over_e_time(times, c) < 1.5e-3   # dephases within the window
-
-
-def test_frozen_ensemble_lifetime_scales_inversely_with_epsilon():
-    # atoms at rest in a hard-walled trap without gravity stay put: phases
-    # are exactly epsilon * omega(r) * t, so the 1/e time must scale as
-    # 1/epsilon
-    ring = RingPotential()
-    trap = TrapGeometry(radius=ring.ring_radius)
-    field = ShiftField(ring)
-    ens = sample_thermal_ensemble(4000, trap, 0.0, gravity=0.0, seed=2)
-    omega = field.at(ens.positions[:, :2])
-    taus = {}
-    for eps in (1.0, 0.1, 0.01):
-        t_max = 3e-3 / eps
-        times, c = simulate_coherence(
-            ShiftField(ring, epsilon=eps), trap, ens, t_max=t_max,
-            sample_dt=t_max / 399, gravity=0.0)
-        for i in (1, 150, 399):
-            expected = np.abs(np.exp(1j * eps * omega * times[i]).mean())
-            assert c[i] == pytest.approx(expected, abs=1e-9)
-        taus[eps] = one_over_e_time(times, c)
-    assert taus[0.1] == pytest.approx(10.0 * taus[1.0], rel=0.10)
-    assert taus[0.01] == pytest.approx(100.0 * taus[1.0], rel=0.10)
 
 
 def test_one_over_e_time_linear_interpolation():
@@ -152,13 +120,6 @@ def test_one_over_e_time_rejects_bad_curves(times, values):
         one_over_e_time(times, values)
 
 
-@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
-def test_shift_field_rejects_nonfinite_epsilon(epsilon):
-    # a NaN field would give a NaN C(t), whose 1/e time reads inf
-    with pytest.raises(ValueError, match="epsilon must be finite"):
-        ShiftField(RingPotential(), epsilon=epsilon)
-
-
 def test_calibration_rejects_bad_target(monkeypatch):
     def no_cloud(*args, **kwargs):
         raise AssertionError("bad input must be refused before sampling")
@@ -182,8 +143,8 @@ def test_calibration_rejects_bad_seed(seed):
 def _stepped_coherence(tau_thin, tau_thick):
     """A stand-in for simulate_coherence whose 1/e time is ``tau_thin``
     below a 20 um wall width and ``tau_thick`` from there on."""
-    def fake(field, trap, ensemble, **kwargs):
-        tau = tau_thin if trap.ring.wall_width < 20e-6 else tau_thick
+    def fake(ring, ensemble, **kwargs):
+        tau = tau_thin if ring.wall_width < 20e-6 else tau_thick
         return np.array([0.0, tau, 2.0 * tau]), \
             np.array([1.0, lightshift.ONE_OVER_E, 0.0])
     return fake
@@ -224,52 +185,55 @@ def test_calibration_unreachable_target_reported(monkeypatch):
     assert len(draws) == 1
 
 
-def _soft_trap_and_cloud(n_atoms, seed):
+def _ring_and_cloud(n_atoms, seed):
     ring = RingPotential()
     trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
-    return ShiftField(ring), trap, sample_thermal_ensemble(n_atoms, trap,
-                                                           15e-6, seed=seed)
+    return ring, sample_thermal_ensemble(n_atoms, trap, 15e-6, seed=seed)
 
 
 @pytest.mark.parametrize("t_max, sample_dt", [
     (-1e-3, 2e-5), (math.nan, 2e-5), (math.inf, 2e-5),
     (1e-3, -2e-5), (1e-3, 0.0), (1e-3, math.nan), (1e-3, math.inf)])
 def test_coherence_rejects_bad_times(t_max, sample_dt):
-    field, trap, ens = _soft_trap_and_cloud(10, 1)
+    ring, ens = _ring_and_cloud(10, 1)
     with pytest.raises(ValueError, match="t_max|sample_dt"):
-        simulate_coherence(field, trap, ens, t_max=t_max, sample_dt=sample_dt)
+        simulate_coherence(ring, ens, t_max=t_max, sample_dt=sample_dt)
 
 
 def test_coherence_rejects_nonfinite_gravity():
-    # on both trap kinds: no NaN C(t) whose 1/e time reads inf
-    field, soft, ens = _soft_trap_and_cloud(10, 1)
-    for trap in (TrapGeometry(radius=soft.radius), soft):
-        for g in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="gravity must be finite"):
-                simulate_coherence(field, trap, ens, t_max=1e-4, gravity=g)
+    # no NaN C(t) whose 1/e time reads inf
+    ring, ens = _ring_and_cloud(10, 1)
+    for g in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gravity must be finite"):
+            simulate_coherence(ring, ens, t_max=1e-4, gravity=g)
 
 
 def test_coherence_rejects_empty_ensemble():
-    field, soft, ens = _soft_trap_and_cloud(10, 1)
+    ring, ens = _ring_and_cloud(10, 1)
     empty = AtomEnsemble(ens.positions[:0], ens.velocities[:0])
-    for trap in (TrapGeometry(radius=soft.radius), soft):
-        with pytest.raises(ValueError, match="at least one atom"):
-            simulate_coherence(field, trap, empty, t_max=1e-4)
+    with pytest.raises(ValueError, match="at least one atom"):
+        simulate_coherence(ring, empty, t_max=1e-4)
 
 
-def _full_coherence(field, trap, ensemble, t_max, sample_dt=2e-5,
+def _full_coherence(ring, ensemble, t_max, sample_dt=2e-5,
                     gravity=CONSTANTS.g_earth):
-    """simulate_coherence's C(t) on a soft trap, every sample up to t_max."""
-    dt = lightshift.soft_wall_dt(trap.ring.wall_width)
+    """simulate_coherence's C(t) in the ring's trap, every sample up to
+    t_max."""
+    def shift(positions):
+        rho = np.hypot(positions[:, 0], positions[:, 1])
+        return differential_shift(potential_at(rho, ring) * CONSTANTS.k_B)
+
+    trap = TrapGeometry(radius=ring.ring_radius, ring=ring)
+    dt = lightshift.soft_wall_dt(ring.wall_width)
     times = np.arange(0.0, t_max + 0.5 * sample_dt, sample_dt)
     phi = np.zeros(len(ensemble))
-    omega_prev = field.at(ensemble.positions)
+    omega_prev = shift(ensemble.positions)
     coherence = [1.0]
     current = ensemble
     for t0, t1 in zip(times[:-1], times[1:]):
         current = lightshift.propagate(current, t0, t1, dt=dt, trap=trap,
                                        gravity=gravity)
-        omega = field.at(current.positions)
+        omega = shift(current.positions)
         phi += 0.5 * (omega + omega_prev) * (t1 - t0)
         omega_prev = omega
         coherence.append(np.abs(np.exp(1j * phi).mean()))
@@ -277,21 +241,21 @@ def _full_coherence(field, trap, ensemble, t_max, sample_dt=2e-5,
 
 
 def test_coherence_ends_at_its_first_sample_below_1e():
-    field, trap, ens = _soft_trap_and_cloud(500, 1)
-    times, c = _full_coherence(field, trap, ens, t_max=1.5e-3)
+    ring, ens = _ring_and_cloud(500, 1)
+    times, c = _full_coherence(ring, ens, t_max=1.5e-3)
     i = int(np.flatnonzero(c < 1.0 / math.e)[0])
     assert i < len(times) - 1            # the curve goes on past sample i
-    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=1.5e-3)
+    t_cut, c_cut = simulate_coherence(ring, ens, t_max=1.5e-3)
     assert np.array_equal(t_cut, times[:i + 1])
     assert np.array_equal(c_cut, c[:i + 1])
     assert one_over_e_time(t_cut, c_cut) == one_over_e_time(times, c)
 
 
 def test_coherence_above_1e_runs_to_t_max():
-    field, trap, ens = _soft_trap_and_cloud(500, 1)
-    times, c = _full_coherence(field, trap, ens, t_max=0.2e-3)
+    ring, ens = _ring_and_cloud(500, 1)
+    times, c = _full_coherence(ring, ens, t_max=0.2e-3)
     assert c.min() >= 1.0 / math.e
-    t_cut, c_cut = simulate_coherence(field, trap, ens, t_max=0.2e-3)
+    t_cut, c_cut = simulate_coherence(ring, ens, t_max=0.2e-3)
     assert np.array_equal(t_cut, times)
     assert np.array_equal(c_cut, c)
     assert one_over_e_time(t_cut, c_cut) == math.inf
@@ -312,10 +276,10 @@ def test_calibration_stops_each_candidate_at_its_first_sample_below_1e(
             runs[-1]["sizes"].append(len(ensemble))
             return propagate(ensemble, *args, **kwargs)
 
-        def counted_simulate(field, trap, ensemble, *args, **kwargs):
-            runs.append({"width": trap.ring.wall_width, "sizes": []})
+        def counted_simulate(ring, ensemble, *args, **kwargs):
+            runs.append({"width": ring.wall_width, "sizes": []})
             times, c = (_full_coherence if full_curve else simulate)(
-                field, trap, ensemble, *args, **kwargs)
+                ring, ensemble, *args, **kwargs)
             runs[-1].update(tau=one_over_e_time(times, c), samples=len(times))
             return times, c
 

@@ -20,7 +20,7 @@ from boxmem.ensemble import (AtomEnsemble, _fold_axial, propagate,
                              sample_thermal_ensemble)
 from boxmem.geometry import (RingPotential, TrapGeometry, _flank_gradient,
                              axial_force, transverse_force)
-from boxmem.lightshift import ShiftField, simulate_coherence, soft_wall_dt
+from boxmem.lightshift import simulate_coherence, soft_wall_dt
 
 RING = RingPotential()
 HALF = TrapGeometry().length / 2.0
@@ -130,7 +130,7 @@ def test_coherence_matches_allocating_verlet(monkeypatch):
     ens = sample_thermal_ensemble(500, trap, 15e-6, seed=22)
 
     def run():
-        return simulate_coherence(ShiftField(trap.ring), trap, ens, t_max=1e-3)
+        return simulate_coherence(trap.ring, ens, t_max=1e-3)
 
     got = run()[1]
     monkeypatch.setattr(lightshift, "propagate", _propagate_soft_reference)
@@ -153,11 +153,11 @@ def _counting(monkeypatch, module, name):
 
 @pytest.mark.parametrize("width", [5e-6, 20e-6])
 def test_coherence_propagates_every_atom_once_per_interval(monkeypatch, width):
-    # the sub-step comes from the trap's own wall, thin or default
+    # the sub-step comes from the ring's own wall, thin or default
     trap = _soft_trap(width)
     ens = sample_thermal_ensemble(200, trap, 15e-6, seed=23)
     calls = _counting(monkeypatch, lightshift, "propagate")
-    times, _ = simulate_coherence(ShiftField(trap.ring), trap, ens, t_max=2e-4)
+    times, _ = simulate_coherence(trap.ring, ens, t_max=2e-4)
     assert len(calls) == len(times) - 1
     assert [len(c["ensemble"]) for c in calls] == [len(ens)] * len(calls)
     assert [c["dt"] for c in calls] == [soft_wall_dt(width)] * len(calls)

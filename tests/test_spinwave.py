@@ -9,8 +9,8 @@ from scipy.ndimage import gaussian_filter
 from boxmem.constants import CONSTANTS
 from boxmem.ensemble import AtomEnsemble
 from boxmem.errors import EmptyModeError, GridCoverageError
-from boxmem.geometry import RingPotential, TrapGeometry
-from boxmem.lightshift import ShiftField, simulate_coherence
+from boxmem.geometry import RingPotential, potential_at
+from boxmem.lightshift import differential_shift, simulate_coherence
 from boxmem.spinwave import (_blur_matrix, assign_excitation, atom_survival,
                              collinear_delta_k, density_estimate,
                              efficiency_total, mode_overlap)
@@ -74,11 +74,11 @@ def test_excitation_rejects_bad_waist(waist):
 
 
 @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf),
-                                    (-math.inf, 0.0)],
-                         ids=["nan-x", "inf-y", "-inf-x"])
+                                    (-math.inf, 0.0), (0.0,), (0.0, 0.0, 0.0)],
+                         ids=["nan-x", "inf-y", "-inf-x", "one", "three"])
 def test_excitation_rejects_bad_center(center):
     # a NaN center would give all-NaN weights
-    with pytest.raises(ValueError, match="center must be finite"):
+    with pytest.raises(ValueError, match="center must be finite and two"):
         assign_excitation(np.zeros((3, 3)), center=center)
 
 
@@ -225,7 +225,7 @@ def test_density_without_counts_is_the_base_grid_alone():
     {"bandwidth": math.nan}, {"bandwidth": math.inf}, {"bandwidth": 0.0},
     {"extent": math.nan}, {"extent": math.inf}, {"extent": 0.0},
     {"extent": -1e-4},
-    {"resolution": 0}, {"resolution": 2.5},
+    {"resolution": 0}, {"resolution": 2.5}, {"resolution": True},
 ])
 def test_density_estimate_rejects_bad_input(change):
     args = dict(weights=[1.0, 1.0, 1.0, 0.01], positions_xy=np.zeros((4, 2)),
@@ -387,19 +387,19 @@ def test_grid_resolution_convergence():
 
 
 def test_phase_evolution_from_light_shift():
-    # two atoms at rest without gravity: one parked at the ring peak, one on
-    # the axis.  Each accumulates omega(r) t, so the coherence of the pair is
+    # two atoms at rest without gravity in the ring's trap: one parked at the
+    # ring peak, one on the axis, where the flank's force is zero.  Each
+    # accumulates omega(r) t, so the coherence of the pair is
     # |cos((omega_peak - omega_axis) t / 2)|, sampled up to its first value
     # below 1/e
     ring = RingPotential()
-    field = ShiftField(ring)
-    trap = TrapGeometry(radius=2.0 * ring.ring_radius)
     pos = np.array([[ring.ring_radius, 0.0, 0.0], [0.0, 0.0, 0.0]])
     ens = AtomEnsemble(pos, np.zeros_like(pos))
-    times, c = simulate_coherence(field, trap, ens, t_max=2e-4,
-                                  sample_dt=1e-5, gravity=0.0)
-    d_omega = field.at_radius(ring.ring_radius) - field.at_radius(0.0)
-    expected = np.abs(np.cos(0.5 * d_omega * times))
+    times, c = simulate_coherence(ring, ens, t_max=2e-4, sample_dt=1e-5,
+                                  gravity=0.0)
+    peak, axis = differential_shift(
+        potential_at([ring.ring_radius, 0.0], ring) * CONSTANTS.k_B)
+    expected = np.abs(np.cos(0.5 * (peak - axis) * times))
     np.testing.assert_allclose(c, expected, rtol=0.0, atol=1e-9)
     assert len(times) < 21       # the peak atom dephases from the axis atom
     assert c[-1] < 1.0 / math.e <= c[:-1].min()
