@@ -92,6 +92,8 @@ def _prepare(points_t, points_y, min_points):
         raise ValueError("t must be non-negative")
     if len(t) < min_points:
         raise ValueError(f"at least {min_points} points are required")
+    if np.all(t == t[0]):
+        raise ValueError("t must not all be equal")
     if np.any(y <= 0):
         raise ValueError("y must be positive for the log-space initializer")
     slope, intercept = np.polyfit(t, np.log(y), 1)
@@ -190,7 +192,7 @@ def find_extrema(times, values, window: int = 5,
     first arises: at the earliest candidate of its kind that a walk back
     through candidates less than ``noise_floor`` from it reaches, so the
     curve between stays inside that band.  Times are refined by a parabola
-    through the three nearest points.
+    through the three nearest points.  The times must strictly increase.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -198,6 +200,8 @@ def find_extrema(times, values, window: int = 5,
         raise ValueError("at least 5 points are required")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("times and values must be finite")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("times must strictly increase")
     if (isinstance(window, bool) or not isinstance(window, (int, np.integer))
             or window < 1 or window % 2 == 0 or window > len(t)):
         raise ValueError("window must be an odd integer in [1, len(times)]")

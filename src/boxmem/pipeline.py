@@ -34,8 +34,8 @@ MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
 MAX_ATOMS = 10_000_000
 # cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 3 (1 +
 # n_bootstrap) grids at once (the first sample's, their square roots and the
-# current sample's) plus the blur matrix and two scratch grids; a finer grid
-# is taken for a typo
+# one stack that every later sample's grids are written into) plus the blur
+# matrix and two scratch grids; a finer grid is taken for a typo
 MAX_GRID_RESOLUTION = 2048
 
 
@@ -165,12 +165,19 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     weighted by how often the replica drew each atom, so all grids of one
     sample time share one deposit stencil and one blur matrix.  The base
     curve does not depend on ``n_bootstrap``.  The square root of each
-    first-sample grid is taken once, by ``mode_overlap``, and kept.
+    first-sample grid is taken once, by ``mode_overlap``, and kept.  The
+    first sample's grids are kept as they come; every later sample's are
+    written into one (1 + n_bootstrap) grid stack, allocated once, so no
+    sample time allocates (and faults in) grids of its own.
     """
     # one replica's standard error would be the ddof=1 spread of one value
     if type(n_bootstrap) is not int or n_bootstrap < 0 or n_bootstrap == 1:
         raise ValueError("n_bootstrap must be an int, 0 or at least 2")
     config.validate()
+    # every sample time after the first writes its grids here; taken before
+    # the run's short-lived arrays, so it does not sit among them on the heap
+    stack = np.empty((1 + n_bootstrap, config.grid_resolution,
+                      config.grid_resolution))
     trap = config.trap()
     gravity = config.effective_gravity()
 
@@ -204,13 +211,13 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
         grids = density_estimate(weights, positions[:, :2],
                                  extent=config.grid_extent,
                                  resolution=config.grid_resolution,
-                                 bandwidth=config.kde_bandwidth, counts=counts)
+                                 bandwidth=config.kde_bandwidth, counts=counts,
+                                 out=None if i == 0 else stack)
         if i == 0:
             first, z0 = grids, positions[:, 2]
         overlap[:, i] = [mode_overlap(u0, g) for u0, g in zip(first, grids)]
         phi2 = k_z * (positions[:, 2] - z0)
         phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
-        del grids       # the next sample's grids replace, not join, these
 
     curve = efficiency_total(
         times, overlap[0], tau_dephase=config.tau_dephase,

@@ -116,8 +116,9 @@ def _blur_matrix(sigma: float, resolution: int) -> np.ndarray:
 
 def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
                      extent: float = 150e-6, resolution: int = 128,
-                     bandwidth: float = 10e-6, counts: np.ndarray | None = None
-                     ) -> list[DensityGrid]:
+                     bandwidth: float = 10e-6,
+                     counts: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> list[DensityGrid]:
     """Kernel density estimate of the w^2 distribution on a square grid.
 
     Cloud-in-cell deposition followed by an isotropic Gaussian blur of
@@ -132,6 +133,12 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     share one stencil and one blur matrix; each replica's grid coverage is
     checked on its own mass.  Non-finite weights, positions or counts raise
     ValueError, as do bad grid settings.
+
+    ``out``, a C-contiguous float64 (1 + B, resolution, resolution) array,
+    receives grid b in ``out[b]`` with the same bits, and each returned
+    grid's values are a view of it: a later call with the same ``out``
+    overwrites them.  A caller that estimates many clouds in turn passes one
+    stack to every call instead of allocating and faulting in fresh grids.
     """
     weights = np.asarray(weights, dtype=float)
     positions_xy = np.asarray(positions_xy, dtype=float)
@@ -151,6 +158,12 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
             or not isinstance(resolution, (int, np.integer))
             or resolution < 1):
         raise ValueError("resolution must be an integer >= 1")
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (1 + len(reps), resolution, resolution)
+            and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of shape"
+                         " (1 + B, resolution, resolution)")
     mass = weights**2
     total = float(np.sum(mass))
     totals = reps @ mass
@@ -188,7 +201,8 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
         corner *= wy
         grid = np.bincount(flat, weights=corner.ravel(),
                            minlength=resolution**2).reshape(resolution, -1)
-        grid = (blur[:, rows] @ grid[rows])[:, cols] @ blur[cols]
+        grid = np.matmul((blur[:, rows] @ grid[rows])[:, cols], blur[cols],
+                         out=None if out is None else out[b])
         grid /= grid.sum() * cell * cell
         grids.append(DensityGrid(extent, resolution, grid))
     return grids

@@ -52,6 +52,16 @@ def test_exponential_input_validation():
             fit_double_exponential(t, y)
 
 
+@pytest.mark.filterwarnings("error")
+def test_fits_reject_equal_times():
+    # np.polyfit would warn and LAPACK complain before any error was raised
+    for fit, n in ((fit_exponential, 3), (fit_double_exponential, 6)):
+        with pytest.raises(ValueError, match="equal"):
+            fit(np.full(n, 2e-3), np.linspace(1.0, 0.5, n))
+    # times that repeat or run backwards still fit: the model has no order
+    fit_exponential([0.0, 2e-3, 1e-3, 1e-3], [1.0, 0.8, 0.9, 0.9])
+
+
 def test_fit_never_converged_with_nonfinite_result():
     # every residual is NaN, so no step is ever taken
     t = np.linspace(0.0, 1.0, 10)
@@ -208,6 +218,19 @@ def test_extrema_rejects_bad_window(window):
     t = np.linspace(0.0, 1.0, 100)
     with pytest.raises(ValueError, match="window"):
         find_extrema(t, np.cos(t), window=window)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_ms", [
+    [0, 0.4, 0.2, 1.2, 0.8, 1.6, 1.4],     # printed a max before its min
+    [0.5] * 7,                              # polyfit warned, LAPACK failed
+    [0, 0.2, 0.4, 0.4, 0.8, 1.0, 1.2],
+    [1.2, 1.0, 0.8, 0.6, 0.4, 0.2, 0],
+])
+def test_extrema_rejects_times_that_do_not_strictly_increase(t_ms):
+    y = [1.0, 0.5, 0.9, 0.2, 0.8, 0.1, 0.7]
+    with pytest.raises(ValueError, match="strictly increase"):
+        find_extrema(np.array(t_ms) * 1e-3, y, window=1)
 
 
 def test_extrema_validation():

@@ -320,8 +320,13 @@ def test_compensation_near_resonance_exits_2(capsys):
 _SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
 
 
-# argv (with {csv}, a decaying curve, {cfg}, a scenario file of the row's
-# lines after _SHORT_RUN, and {out}, an output path), those lines, exit code
+# a 7-row curve at the times of its name, in ms
+_TIMES_MS = {"unsorted": [0, 0.4, 0.2, 1.2, 0.8, 1.6, 1.4], "equal": [0.5] * 7}
+
+
+# argv (with {csv}, a decaying curve, {unsorted} and {equal}, curves at
+# _TIMES_MS, {cfg}, a scenario file of the row's lines after _SHORT_RUN, and
+# {out}, an output path), those lines, exit code
 @pytest.mark.parametrize("argv, lines, code", [
     ("compensation --power 1.9 --trap-nm 0", "", 2),
     ("compensation --power nan --trap-nm 775", "", 2),
@@ -336,6 +341,11 @@ _SHORT_RUN = "atoms = 300\nt_start_ms = 0\nt_stop_ms = 1\nt_step_ms = 0.5\n"
     ("extrema --input {csv} --noise-floor -0.1", "", 2),
     ("extrema --input {csv} --window 41", "", 2),    # the CSV has 40 rows
     ("fit --input {csv} --model dexp --offset", "", 2),     # exp only
+    # times that do not strictly increase: no extremum, no polyfit warning
+    ("extrema --input {unsorted}", "", 2),
+    ("extrema --input {equal}", "", 2),
+    ("fit --input {equal}", "", 2),
+    ("fit --input {equal} --model dexp", "", 2),
     # scenarios run in the hard box: the soft-wall keys are unknown
     ("simulate --config {cfg} --out {out}", "dt_us = 0", 2),
     ("simulate --config {cfg} --out {out}",
@@ -345,7 +355,14 @@ def test_cli_input_table(tmp_path, capsys, argv, lines, code):
     csv, cfg, out = tmp_path / "c.csv", tmp_path / "s.cfg", tmp_path / "o.csv"
     make_curve_csv(csv)
     cfg.write_text(f"[scenario]\n{_SHORT_RUN}{lines}\n")
-    rc = main([a.format(csv=csv, cfg=cfg, out=out) for a in argv.split()])
+    paths = dict(csv=csv, cfg=cfg, out=out)
+    for name, t_ms in _TIMES_MS.items():
+        t = np.array(t_ms) * 1e-3
+        y = np.array([1.0, 0.5, 0.9, 0.2, 0.8, 0.1, 0.7])
+        paths[name] = tmp_path / f"{name}.csv"
+        write_curve_csv(EfficiencyCurve(t, y, np.ones(7), np.ones(7), y),
+                        str(paths[name]))
+    rc = main([a.format(**paths) for a in argv.split()])
     captured = capsys.readouterr()
     assert rc == code, captured.err
     assert "Traceback" not in captured.err

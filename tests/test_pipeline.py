@@ -10,7 +10,8 @@ from boxmem.ensemble import propagate, sample_thermal_ensemble
 from boxmem.pipeline import (CSV_HEADER, MAX_WORKERS, PRESETS, ScenarioConfig,
                              curve_to_csv, preset, read_curve_csv,
                              run_scenario, write_curve_csv)
-from boxmem.spinwave import assign_excitation, collinear_delta_k
+from boxmem.spinwave import (assign_excitation, collinear_delta_k,
+                             density_estimate, mode_overlap)
 
 SMALL = dict(atoms=2000, times=np.arange(0.0, 4.0001e-3, 1e-3))
 
@@ -128,6 +129,49 @@ def test_bootstrap_leaves_the_base_curve_alone():
 def test_bad_bootstrap_count_rejected(n_bootstrap):
     with pytest.raises(ValueError, match="n_bootstrap must be an int"):
         run_scenario(small_config(), n_bootstrap=n_bootstrap)
+
+
+def _overlaps_with_fresh_grids(cfg, n_bootstrap):
+    """Reference for run_scenario's overlaps, (1 + n_bootstrap, n_times):
+    every sample time's grids come from a density_estimate call of their
+    own, without ``out``."""
+    trap, g = cfg.trap(), cfg.effective_gravity()
+    ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, gravity=g,
+                                  seed=cfg.seed, spatial=cfg.spatial)
+    w = assign_excitation(ens.positions,
+                          (cfg.mode_offset_x, cfg.mode_offset_y),
+                          cfg.mode_waist)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.uint64(cfg.seed) ^ np.uint64(0x626F6F74)))
+    counts = np.array([
+        np.bincount(rng.integers(0, cfg.atoms, size=cfg.atoms),
+                    minlength=cfg.atoms) for _ in range(n_bootstrap)],
+        dtype=float).reshape(n_bootstrap, cfg.atoms)
+    overlaps, current, t = [], ens, 0.0
+    for ti in cfg.times:
+        if ti > t:
+            current = propagate(current, t, ti, trap=trap, gravity=g)
+            t = ti
+        grids = density_estimate(w, current.positions[:, :2], counts=counts)
+        if not overlaps:
+            first = grids
+        overlaps.append([mode_overlap(u0, u) for u0, u in zip(first, grids)])
+    return np.array(overlaps).T
+
+
+@pytest.mark.parametrize("n_bootstrap", [0, 4])
+def test_reused_grid_stack_keeps_every_overlap(n_bootstrap):
+    # run_scenario writes every grid after the first sample's into one
+    # stack, so each sample's overlaps must be taken before the next sample
+    # overwrites it: overlaps read later would all be the last sample's
+    cfg = small_config(atoms=3000)
+    res = run_scenario(cfg, n_bootstrap=n_bootstrap)
+    want = _overlaps_with_fresh_grids(cfg, n_bootstrap)
+    assert len(cfg.times) >= 3 and np.all(want[:, 1:] < 1.0 - 1e-6)
+    assert res.curve.overlap.tobytes() == (want[0] / want[0, 0]).tobytes()
+    if n_bootstrap:
+        se = (want[1:] / want[1:, :1]).std(axis=0, ddof=1)
+        assert res.bootstrap_se.tobytes() == se.tobytes()
 
 
 def test_worker_count_does_not_change_output():

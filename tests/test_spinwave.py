@@ -209,6 +209,38 @@ def test_density_without_counts_is_the_base_grid_alone():
     assert np.array_equal(grids[0].values, base.values)
 
 
+@pytest.mark.parametrize("n_reps", [0, 3])
+def test_density_out_holds_the_grids_bit_for_bit(n_reps):
+    w, pos = _tagged_cloud(20_000, seed=n_reps)
+    counts = np.random.default_rng(n_reps).integers(0, 3, (n_reps, len(w)))
+    want = density_estimate(w, pos, counts=counts)
+    out = np.full((1 + n_reps, 128, 128), np.nan)
+    got = density_estimate(w, pos, counts=counts, out=out)
+    assert len(got) == 1 + n_reps
+    for b, (g, ref) in enumerate(zip(got, want)):
+        assert np.shares_memory(g.values, out[b])
+        assert np.array_equal(g.values, ref.values)
+        assert np.array_equal(out[b], ref.values)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 16, 16)),                  # one grid too many
+    np.empty((1, 16, 8)),
+    np.empty((16, 16)),
+    np.empty((1, 16, 16), dtype=np.float32),
+    np.empty((1, 16, 16), dtype=complex),
+    np.empty((1, 16, 32))[:, :, ::2],       # strided
+    np.empty((1, 16, 16), order="F"),
+    [[[0.0] * 16] * 16],                    # not an array
+])
+def test_density_estimate_rejects_bad_out(out):
+    args = dict(weights=[1.0, 1.0, 1.0, 0.01], positions_xy=np.zeros((4, 2)),
+                resolution=16)
+    density_estimate(**args, out=np.empty((1, 16, 16)))
+    with pytest.raises(ValueError, match="out must be"):
+        density_estimate(**args, out=out)
+
+
 @pytest.mark.parametrize("change", [
     {"weights": [1.0, 1.0, math.nan, 1.0]},
     {"weights": [1.0, 1.0, 1.0, math.inf]},
