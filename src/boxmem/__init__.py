@@ -12,8 +12,8 @@ from .lightshift import (calibrate_wall_width, differential_shift,
                          residual_lifetime, simulate_coherence, trap_detuning)
 from .pipeline import (PRESETS, ScenarioConfig, ScenarioResult, preset,
                        read_curve_csv, run_scenario, write_curve_csv)
-from .spinwave import (DensityGrid, EfficiencyCurve, assign_excitation,
-                       atom_survival, collinear_delta_k, density_estimate,
-                       efficiency_total, mode_overlap)
+from .spinwave import (EfficiencyCurve, assign_excitation, atom_survival,
+                       collinear_delta_k, density_estimate, efficiency_total,
+                       mode_overlap)
 
 __version__ = "0.1.0"

@@ -192,10 +192,13 @@ def find_extrema(times, values, window: int = 5,
     first arises: at the earliest candidate of its kind that a walk back
     through candidates less than ``noise_floor`` from it reaches, so the
     curve between stays inside that band.  Times are refined by a parabola
-    through the three nearest points.  The times must strictly increase.
+    through the three nearest points.  ``values`` holds one value per time,
+    and the times must strictly increase.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise ValueError("times and values must be 1-d and of equal length")
     if len(t) < 5:
         raise ValueError("at least 5 points are required")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):

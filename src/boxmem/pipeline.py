@@ -7,7 +7,7 @@ and atom-loss factors into a normalized efficiency curve (CSV rows).
 
 Strict determinism: a (config, seed) pair fixes every output byte.  Random
 streams are counter-based (Philox) and keyed by the master seed.  The density
-grids of one storage time (the base weights and each bootstrap replica) are
+grids of one storage time (the base mass and each bootstrap replica's) are
 deposited from one cloud-in-cell stencil and blurred by two BLAS matrix
 products each, in the calling thread.  The grids' last bits follow the BLAS
 kernel but not its thread count.
@@ -32,10 +32,10 @@ MAX_WORKERS = 64  # bound of the inert `workers`; a larger count is a typo
 # a run holds about 300 bytes per atom, so 10^7 atoms need about 3 GB; a
 # larger count is taken for a typo rather than left to fail in allocation
 MAX_ATOMS = 10_000_000
-# cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 3 (1 +
-# n_bootstrap) grids at once (the first sample's, their square roots and the
-# one stack that every later sample's grids are written into) plus the blur
-# matrix and two scratch grids; a finer grid is taken for a typo
+# cells per axis: a 2048^2 grid takes 32 MiB, and a run holds 2 (1 +
+# n_bootstrap) grids at once (the first sample's square roots and the one
+# stack that every sample's grids are written into) plus the blur matrix and
+# two scratch grids; a finer grid is taken for a typo
 MAX_GRID_RESOLUTION = 2048
 
 
@@ -160,24 +160,23 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
     ``collinear_delta_k``, so memory is O(n_atoms).
 
     ``n_bootstrap`` >= 2 additionally estimates the per-time Monte-Carlo
-    standard error of the overlap by resampling atoms with replacement;
-    every replica is folded over the same pass, as the base ensemble
-    weighted by how often the replica drew each atom, so all grids of one
-    sample time share one deposit stencil and one blur matrix.  The base
-    curve does not depend on ``n_bootstrap``.  The square root of each
-    first-sample grid is taken once, by ``mode_overlap``, and kept.  The
-    first sample's grids are kept as they come; every later sample's are
-    written into one (1 + n_bootstrap) grid stack, allocated once, so no
-    sample time allocates (and faults in) grids of its own.
+    standard error of the overlap by resampling atoms with replacement.
+    A replica is the same ensemble with mass k_i w_i^2, k_i being how often
+    it drew atom i, so the base mass and every replica's are rows of one
+    ``density_estimate`` call per sample time.  The base curve does not
+    depend on ``n_bootstrap``.  Every sample time's grids are written into
+    one (1 + n_bootstrap) grid stack, allocated once, and replaced by their
+    square roots there; the first sample's roots are copied and kept.
     """
     # one replica's standard error would be the ddof=1 spread of one value
     if type(n_bootstrap) is not int or n_bootstrap < 0 or n_bootstrap == 1:
         raise ValueError("n_bootstrap must be an int, 0 or at least 2")
     config.validate()
-    # every sample time after the first writes its grids here; taken before
-    # the run's short-lived arrays, so it does not sit among them on the heap
+    # the grid stack and the first sample's roots, taken before the run's
+    # short-lived arrays, so they do not sit among them on the heap
     stack = np.empty((1 + n_bootstrap, config.grid_resolution,
                       config.grid_resolution))
+    first = np.empty_like(stack)
     trap = config.trap()
     gravity = config.effective_gravity()
 
@@ -191,13 +190,15 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
 
     rng = np.random.Generator(np.random.Philox(
         key=np.uint64(config.seed) ^ np.uint64(0x626F6F74)))
-    # replica b draws atoms with replacement; it is kept only as how often
-    # it drew each atom, the bootstrap multiplicities density_estimate takes
-    counts = np.empty((n_bootstrap, config.atoms))
-    for row in counts:
-        row[:] = np.bincount(rng.integers(0, config.atoms, size=config.atoms),
-                             minlength=config.atoms)
-    w2 = weights**2
+    # the KDE's masses: row 0 the mode's w^2, and row b the w^2 of replica
+    # b, which draws atoms with replacement and so weighs each atom by how
+    # often it drew it
+    mass = np.empty((1 + n_bootstrap, config.atoms))
+    mass[0] = weights**2
+    for row in mass[1:]:
+        draw = rng.integers(0, config.atoms, size=config.atoms)
+        np.multiply(np.bincount(draw, minlength=len(row)), mass[0], out=row)
+    cell_area = (2.0 * config.grid_extent / config.grid_resolution) ** 2
 
     times = np.asarray(config.times, dtype=float)
     overlap = np.empty((1 + n_bootstrap, len(times)))
@@ -208,16 +209,15 @@ def run_scenario(config: ScenarioConfig, n_bootstrap: int = 0) -> ScenarioResult
             current = propagate(current, t, ti, trap=trap, gravity=gravity)
             t = ti
         positions = current.positions
-        grids = density_estimate(weights, positions[:, :2],
-                                 extent=config.grid_extent,
-                                 resolution=config.grid_resolution,
-                                 bandwidth=config.kde_bandwidth, counts=counts,
-                                 out=None if i == 0 else stack)
+        roots = np.sqrt(density_estimate(
+            mass, positions[:, :2], config.grid_extent, config.grid_resolution,
+            config.kde_bandwidth, out=stack), out=stack)
         if i == 0:
-            first, z0 = grids, positions[:, 2]
-        overlap[:, i] = [mode_overlap(u0, g) for u0, g in zip(first, grids)]
+            first[:], z0 = roots, positions[:, 2]
+        overlap[:, i] = [mode_overlap(r0, r, cell_area)
+                         for r0, r in zip(first, roots)]
         phi2 = k_z * (positions[:, 2] - z0)
-        phi2_coh[i] = np.abs(np.exp(1j * phi2) @ w2)
+        phi2_coh[i] = np.abs(np.exp(1j * phi2) @ mass[0])
 
     curve = efficiency_total(
         times, overlap[0], tau_dephase=config.tau_dephase,

@@ -17,7 +17,6 @@ double-exponential atom survival.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,33 +58,6 @@ def assign_excitation(positions: np.ndarray,
     return raw / np.sqrt(np.sum(raw**2))
 
 
-@dataclass
-class DensityGrid:
-    """Discretized transverse distribution, unit integral over the grid."""
-
-    extent: float                # m, half-width; grid spans [-extent, extent]
-    resolution: int              # cells per axis
-    values: np.ndarray           # (resolution, resolution), index [ix, iy]
-
-    @property
-    def cell_size(self) -> float:
-        return 2.0 * self.extent / self.resolution
-
-    @property
-    def cell_area(self) -> float:
-        return self.cell_size**2
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        """sqrt(values), taken once: a curve compares every sample time's
-        grid with the same first grid."""
-        return np.sqrt(self.values)
-
-    def same_grid(self, other: "DensityGrid") -> bool:
-        return (self.resolution == other.resolution
-                and math.isclose(self.extent, other.extent, rel_tol=1e-12))
-
-
 def _cic_axis(u, extent, cell, resolution):
     """Cloud-in-cell stencil along one axis: the indices of the two cell
     centres around each coordinate u, lower first and clipped to the grid,
@@ -114,43 +86,36 @@ def _blur_matrix(sigma: float, resolution: int) -> np.ndarray:
     return taps[np.abs(cells[:, None] - cells[None])]
 
 
-def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
-                     extent: float = 150e-6, resolution: int = 128,
-                     bandwidth: float = 10e-6,
-                     counts: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> list[DensityGrid]:
-    """Kernel density estimate of the w^2 distribution on a square grid.
+def density_estimate(mass: np.ndarray, positions_xy: np.ndarray,
+                     extent: float, resolution: int, bandwidth: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel density estimates of K per-atom masses of one cloud on a
+    square grid spanning [-extent, extent] in ``resolution`` cells per axis.
 
-    Cloud-in-cell deposition followed by an isotropic Gaussian blur of
+    ``mass`` is (K, n), or (n,) for K = 1: a transverse mode weighs atom i
+    by w_i^2, and a bootstrap replica that draws it k_i times by k_i w_i^2.
+    Each row is deposited cloud-in-cell, blurred by an isotropic Gaussian of
     standard deviation ``bandwidth`` (zero-padded boundaries, kernel cut at
-    8 standard deviations), then normalization to unit integral.  The blur
-    is two BLAS products by ``_blur_matrix``, each summed over occupied rows
-    or columns only, so a grid's last bits follow the BLAS kernel.
+    8 standard deviations) and normalized to unit integral.  All rows share
+    one stencil and one blur matrix, so row k's grid has the bits of the
+    one-row call of ``mass[k]``.  The blur is two BLAS products by
+    ``_blur_matrix``, each summed over occupied rows or columns only, so a
+    grid's last bits follow the BLAS kernel.  Each row's grid coverage is
+    checked on its own mass.  Non-finite or negative masses, non-finite
+    positions and bad grid settings raise ValueError.
 
-    Returns [base grid, replica 1, ..., replica B], where ``counts`` (B, n)
-    are bootstrap multiplicities (B = 0 without them): a replica that draws
-    atom i k_i times is the same ensemble with mass k_i w_i^2.  All grids
-    share one stencil and one blur matrix; each replica's grid coverage is
-    checked on its own mass.  Non-finite weights, positions or counts raise
-    ValueError, as do bad grid settings.
-
-    ``out``, a C-contiguous float64 (1 + B, resolution, resolution) array,
-    receives grid b in ``out[b]`` with the same bits, and each returned
-    grid's values are a view of it: a later call with the same ``out``
-    overwrites them.  A caller that estimates many clouds in turn passes one
-    stack to every call instead of allocating and faulting in fresh grids.
+    Returns the (K, resolution, resolution) grids, index [k, ix, iy].  They
+    are written into ``out`` when it is given, a C-contiguous float64 array
+    of that shape, which is returned: a caller that estimates many clouds in
+    turn passes one stack to every call instead of faulting in fresh grids.
     """
-    weights = np.asarray(weights, dtype=float)
+    mass = np.atleast_2d(np.asarray(mass, dtype=float))
     positions_xy = np.asarray(positions_xy, dtype=float)
-    if not (weights.ndim == 1 and positions_xy.shape == (len(weights), 2)
-            and np.all(np.isfinite(weights))
+    if not (mass.ndim == 2 and positions_xy.shape == (mass.shape[1], 2)
+            and np.all(np.isfinite(mass)) and np.all(mass >= 0)
             and all(np.isfinite(u).all() for u in positions_xy.T)):
-        raise ValueError("weights (n,) and positions (n, 2) must be finite")
-    reps = np.empty((0, len(weights))) if counts is None \
-        else np.asarray(counts, dtype=float)
-    if not (reps.ndim == 2 and reps.shape[1] == len(weights)
-            and np.all(np.isfinite(reps)) and np.all(reps >= 0)):
-        raise ValueError("counts must be finite, non-negative and (B, n)")
+        raise ValueError("mass (K, n) must be finite and non-negative, and"
+                         " positions (n, 2) finite")
     if not (math.isfinite(bandwidth) and bandwidth > 0
             and math.isfinite(extent) and extent > 0):
         raise ValueError("bandwidth and extent must be finite and positive")
@@ -158,33 +123,29 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
             or not isinstance(resolution, (int, np.integer))
             or resolution < 1):
         raise ValueError("resolution must be an integer >= 1")
-    if out is not None and not (
-            isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == (1 + len(reps), resolution, resolution)
-            and out.flags.c_contiguous):
+    shape = (len(mass), resolution, resolution)
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == shape and out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float64 array of shape"
-                         " (1 + B, resolution, resolution)")
-    mass = weights**2
-    total = float(np.sum(mass))
-    totals = reps @ mass
-    if total <= 0 or np.any(totals <= 0):
+                         " (K, resolution, resolution)")
+    totals = mass.sum(axis=1)
+    if np.any(totals <= 0):
         raise ValueError("total weight must be positive")
 
     inside = (np.abs(positions_xy[:, 0]) < extent) \
         & (np.abs(positions_xy[:, 1]) < extent)
-    if (float(np.sum(mass[~inside])) > MAX_OUTSIDE * total
-            or np.any(reps @ np.where(inside, 0.0, mass)
-                      > MAX_OUTSIDE * totals)):
+    if np.any(mass @ ~inside > MAX_OUTSIDE * totals):
         raise GridCoverageError(
             "more than {:.0%} of the excitation weight lies outside the grid"
             .format(MAX_OUTSIDE))
 
-    # off-grid atoms deposit zero mass from an on-grid place: no gather
-    m = np.where(inside, mass, 0.0)
     cell = 2.0 * extent / resolution
     (gx, wx), (gy, wy) = (
         _cic_axis(np.where(inside, u, u[inside.argmax()]), extent, cell,
                   resolution) for u in positions_xy.T)
+    wx *= inside    # an off-grid atom deposits zero from an on-grid place
     rows = slice(gx.min(), gx.max() + 1)
     cols = slice(gy.min(), gy.max() + 1)
     # the four corners in the order 00, 01, 10, 11 as one flat cell index,
@@ -193,27 +154,26 @@ def density_estimate(weights: np.ndarray, positions_xy: np.ndarray,
     del gx, gy      # freed before the per-grid buffers: lowers peak memory
 
     blur = _blur_matrix(bandwidth / cell, resolution)
-    corner = np.empty((2, 2, len(m)))
-    grids = []
-    for b in range(1 + len(reps)):
+    corner = np.empty((2, 2, mass.shape[1]))
+    for m, grid in zip(mass, out):
         # (m * wx) * wy, the product order of the per-corner deposit
-        np.multiply(m if b == 0 else reps[b - 1] * m, wx[:, None], out=corner)
+        np.multiply(m, wx[:, None], out=corner)
         corner *= wy
-        grid = np.bincount(flat, weights=corner.ravel(),
-                           minlength=resolution**2).reshape(resolution, -1)
-        grid = np.matmul((blur[:, rows] @ grid[rows])[:, cols], blur[cols],
-                         out=None if out is None else out[b])
+        deposit = np.bincount(flat, weights=corner.ravel(),
+                              minlength=resolution**2).reshape(resolution, -1)
+        np.matmul((blur[:, rows] @ deposit[rows])[:, cols], blur[cols],
+                  out=grid)
         grid /= grid.sum() * cell * cell
-        grids.append(DensityGrid(extent, resolution, grid))
-    return grids
+    return out
 
 
-def mode_overlap(u0: DensityGrid, ut: DensityGrid) -> float:
-    """Squared Bhattacharyya overlap of two distributions on the same grid."""
-    if not u0.same_grid(ut):
+def mode_overlap(root0: np.ndarray, root_t: np.ndarray,
+                 cell_area: float) -> float:
+    """Squared Bhattacharyya overlap (sum root0 root_t cell_area)^2 of two
+    unit-integral grids, given their square roots on the same grid."""
+    if root0.shape != root_t.shape:
         raise ValueError("grids do not match")
-    bc = float(np.sum(u0.root * np.sqrt(ut.values)) * u0.cell_area)
-    return bc**2
+    return float(np.sum(root0 * root_t) * cell_area) ** 2
 
 
 def atom_survival(t, fast_fraction: float = 0.5, tau_fast: float = 0.16,

@@ -72,6 +72,8 @@ def test_criterion_01_overlap_oracle(capsys):
     # 1% budget, and displacing one common sample removes sampling noise
     sigma = 32.5e-6
     h = 3e-6
+    extent, resolution = 150e-6, 128    # the scenario's default grid
+    cell_area = (2.0 * extent / resolution) ** 2
     n = 100_000
     rng = np.random.default_rng(0)
     base = rng.normal(scale=sigma, size=(n, 2))
@@ -80,9 +82,10 @@ def test_criterion_01_overlap_oracle(capsys):
     slow = 0.0
     for d in (0.0, sigma / 2, sigma, 2 * sigma):
         t0 = time.perf_counter()
-        [a] = density_estimate(w, base, bandwidth=h)
-        [b] = density_estimate(w, base + np.array([0.0, d]), bandwidth=h)
-        r = mode_overlap(a, b)
+        [a] = density_estimate(w**2, base, extent, resolution, h)
+        [b] = density_estimate(w**2, base + np.array([0.0, d]), extent,
+                               resolution, h)
+        r = mode_overlap(np.sqrt(a), np.sqrt(b), cell_area)
         slow = max(slow, time.perf_counter() - t0)
         expected = math.exp(-d**2 / (4 * (sigma**2 + h**2)))
         worst = max(worst, abs(r - expected) / expected)
@@ -260,14 +263,20 @@ def test_criterion_10_invariant_suite(capsys):
     # overlap bounds and symmetry, unit-integral density
     rng = np.random.default_rng(1)
     w = np.full(5000, 5000**-0.5)
-    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
-    [b] = density_estimate(w, rng.normal(scale=50e-6, size=(5000, 2)))
-    r_ab, r_ba = mode_overlap(a, b), mode_overlap(b, a)
+    grid = (150e-6, 128, 10e-6)         # extent, resolution, bandwidth
+    cell_area = (300e-6 / 128) ** 2
+    [a] = density_estimate(w**2, rng.normal(scale=30e-6, size=(5000, 2)),
+                           *grid)
+    [b] = density_estimate(w**2, rng.normal(scale=50e-6, size=(5000, 2)),
+                           *grid)
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    r_ab = mode_overlap(ra, rb, cell_area)
+    r_ba = mode_overlap(rb, ra, cell_area)
     checks["overlap-bounds-symmetry"] = (
         0.0 <= r_ab <= 1.0 and math.isclose(r_ab, r_ba, rel_tol=1e-12)
-        and mode_overlap(a, a) == pytest.approx(1.0, rel=1e-9))
+        and mode_overlap(ra, ra, cell_area) == pytest.approx(1.0, rel=1e-9))
     checks["unit-integral-density"] = math.isclose(
-        float(a.values.sum()) * a.cell_area, 1.0, rel_tol=1e-9)
+        float(a.sum()) * cell_area, 1.0, rel_tol=1e-9)
 
     # soft-wall total-energy drift over 100 ms
     ring = RingPotential()

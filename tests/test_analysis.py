@@ -237,6 +237,12 @@ def test_extrema_validation():
     t = np.linspace(0.0, 1.0, 100)
     with pytest.raises(ValueError):
         find_extrema(t[:3], np.ones(3))
+    # values that do not match the times are refused, not cut or passed on
+    for times, values in ((np.arange(9) * 1e-3, [0, 1, 0, 1, 0, 1, 0]),
+                          (np.arange(7) * 1e-3, [0, 1, 0, 1, 0, 1, 0, 1, 0]),
+                          (t[None], np.cos(10 * t)[None])):
+        with pytest.raises(ValueError, match="equal length"):
+            find_extrema(times, values, window=1)
     for floor in (np.nan, np.inf, -np.inf, -0.01):
         with pytest.raises(ValueError, match="noise_floor"):
             find_extrema(t, np.cos(10 * t), noise_floor=floor)

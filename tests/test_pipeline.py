@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boxmem.errors import ConfigurationError
 from boxmem.config import parse_scenario_file
+from boxmem.constants import CONSTANTS
+from boxmem.errors import ConfigurationError
 from boxmem.ensemble import propagate, sample_thermal_ensemble
 from boxmem.pipeline import (CSV_HEADER, MAX_WORKERS, PRESETS, ScenarioConfig,
                              curve_to_csv, preset, read_curve_csv,
@@ -134,7 +135,7 @@ def test_bad_bootstrap_count_rejected(n_bootstrap):
 def _overlaps_with_fresh_grids(cfg, n_bootstrap):
     """Reference for run_scenario's overlaps, (1 + n_bootstrap, n_times):
     every sample time's grids come from a density_estimate call of their
-    own, without ``out``."""
+    own, without ``out``, and the first sample's are kept as they come."""
     trap, g = cfg.trap(), cfg.effective_gravity()
     ens = sample_thermal_ensemble(cfg.atoms, trap, cfg.temperature, gravity=g,
                                   seed=cfg.seed, spatial=cfg.spatial)
@@ -147,23 +148,30 @@ def _overlaps_with_fresh_grids(cfg, n_bootstrap):
         np.bincount(rng.integers(0, cfg.atoms, size=cfg.atoms),
                     minlength=cfg.atoms) for _ in range(n_bootstrap)],
         dtype=float).reshape(n_bootstrap, cfg.atoms)
+    mass = np.vstack((w**2, counts * w**2))
+    area = (2.0 * cfg.grid_extent / cfg.grid_resolution) ** 2
     overlaps, current, t = [], ens, 0.0
     for ti in cfg.times:
         if ti > t:
             current = propagate(current, t, ti, trap=trap, gravity=g)
             t = ti
-        grids = density_estimate(w, current.positions[:, :2], counts=counts)
+        grids = density_estimate(mass, current.positions[:, :2],
+                                 cfg.grid_extent, cfg.grid_resolution,
+                                 cfg.kde_bandwidth)
         if not overlaps:
             first = grids
-        overlaps.append([mode_overlap(u0, u) for u0, u in zip(first, grids)])
+        overlaps.append([mode_overlap(np.sqrt(u0), np.sqrt(u), area)
+                         for u0, u in zip(first, grids)])
     return np.array(overlaps).T
 
 
 @pytest.mark.parametrize("n_bootstrap", [0, 4])
 def test_reused_grid_stack_keeps_every_overlap(n_bootstrap):
-    # run_scenario writes every grid after the first sample's into one
-    # stack, so each sample's overlaps must be taken before the next sample
-    # overwrites it: overlaps read later would all be the last sample's
+    # run_scenario writes every sample's grids into one stack, so the first
+    # sample's roots must be copied and each sample's overlaps taken before
+    # the next sample overwrites it: overlaps read later would all be the
+    # last sample's, and a first grid left in the stack would make every
+    # overlap its sample's self-overlap, 1
     cfg = small_config(atoms=3000)
     res = run_scenario(cfg, n_bootstrap=n_bootstrap)
     want = _overlaps_with_fresh_grids(cfg, n_bootstrap)
@@ -172,6 +180,64 @@ def test_reused_grid_stack_keeps_every_overlap(n_bootstrap):
     if n_bootstrap:
         se = (want[1:] / want[1:, :1]).std(axis=0, ddof=1)
         assert res.bootstrap_se.tobytes() == se.tobytes()
+
+
+# Free expansion: in a trap so wide that the tagged atoms never reach its
+# wall, the w^2-weighted cloud is an isotropic Gaussian of variance s0^2 =
+# (w0/2)^2 + h^2 + c^2/6 per axis (mode, kernel bandwidth h, cloud-in-cell
+# cell c), which spreads as s_t^2 = s0^2 + k_B T t^2 / m and falls by
+# d = g t^2 / 2; its squared Bhattacharyya overlap with the first grid is
+# R(t) = (2 s0 s_t / (s0^2 + s_t^2))^2 exp(-d^2 / (2 (s0^2 + s_t^2))).
+FREE = dict(atoms=100_000, trap_radius=400e-6, grid_extent=400e-6,
+            grid_resolution=256, times=np.arange(9) * 0.2e-3)
+# Gravity runs at 4 g: at 1 g the paired difference below is 8e-3 at
+# 1.6 ms against a seed-to-seed spread of 2.6e-3 (seeds 0-11), too close
+# to catch a missing fall; at 4 g it is 0.119 against 9.2e-3.
+FREE_GRAVITY = 4 * CONSTANTS.g_earth
+
+
+def _free_expansion_overlap(cfg):
+    t = cfg.times
+    cell = 2.0 * cfg.grid_extent / cfg.grid_resolution
+    s0 = (cfg.mode_waist / 2) ** 2 + cfg.kde_bandwidth**2 + cell**2 / 6
+    st = s0 + CONSTANTS.k_B * cfg.temperature / CONSTANTS.m_atom * t**2
+    d = cfg.effective_gravity() * t**2 / 2
+    return ((2.0 * np.sqrt(s0 * st) / (s0 + st)) ** 2
+            * np.exp(-d**2 / (2.0 * (s0 + st))))
+
+
+@pytest.fixture(scope="module")
+def free_expansion():
+    """{gravity_on: (config, result with 16 bootstrap replicas)}."""
+    runs = {}
+    for on in (True, False):
+        cfg = preset("centered", **FREE, gravity=FREE_GRAVITY, gravity_on=on)
+        runs[on] = cfg, run_scenario(cfg, n_bootstrap=16)
+    return runs
+
+
+@pytest.mark.parametrize("gravity_on", [True, False])
+def test_free_expansion_matches_closed_form(free_expansion, gravity_on):
+    # 3 bootstrap SE per time point, plus 1e-3 for the KDE's finite-sample
+    # noise, which lowers the measured overlap: by 5e-4 to 8e-4 at 0.2 ms
+    # (seeds 0-7, against an SE of 2e-4 to 3e-4), where R is 1 - 6e-4.
+    # Over seeds 0-11 the largest error was 0.85 of this budget.
+    cfg, res = free_expansion[gravity_on]
+    exact = _free_expansion_overlap(cfg)
+    assert exact[-1] < (0.51 if gravity_on else 0.63)
+    err = np.abs(res.curve.overlap - exact)
+    assert np.all(err <= 3.0 * res.bootstrap_se + 1e-3), err
+
+
+def test_free_fall_paired_difference(free_expansion):
+    # gravity on and off draw the same atoms (the uniform density does not
+    # depend on g), so the difference of the two curves is gravity's alone;
+    # over seeds 0-11 it departed from the closed form's by at most 0.021
+    (cfg_on, on), (cfg_off, off) = free_expansion[True], free_expansion[False]
+    want = _free_expansion_overlap(cfg_on) - _free_expansion_overlap(cfg_off)
+    got = on.curve.overlap - off.curve.overlap
+    assert want[-1] < -0.11
+    assert np.max(np.abs(got - want)) <= 0.03
 
 
 def test_worker_count_does_not_change_output():

@@ -15,6 +15,15 @@ from boxmem.spinwave import (_blur_matrix, assign_excitation, atom_survival,
                              collinear_delta_k, density_estimate,
                              efficiency_total, mode_overlap)
 
+# the scenario's default grid: +-150 um in 128 cells and a 10 um kernel
+GRID = dict(extent=150e-6, resolution=128, bandwidth=10e-6)
+CELL_AREA = (300e-6 / 128) ** 2
+
+
+def _overlap(a, b, cell_area=CELL_AREA):
+    """mode_overlap of two grids, from their square roots."""
+    return mode_overlap(np.sqrt(a), np.sqrt(b), cell_area)
+
 
 def test_spinwave_wavelength_collinear():
     dk = collinear_delta_k()
@@ -86,16 +95,17 @@ def test_density_unit_integral():
     rng = np.random.default_rng(1)
     pos = rng.normal(scale=40e-6, size=(20000, 2))
     w = np.full(20000, 1.0 / math.sqrt(20000))
-    [grid] = density_estimate(w, pos)
-    assert grid.values.sum() * grid.cell_area == pytest.approx(1.0, rel=1e-9)
-    assert np.all(grid.values >= 0.0)
+    [grid] = density_estimate(w**2, pos, **GRID)
+    assert grid.sum() * CELL_AREA == pytest.approx(1.0, rel=1e-9)
+    assert np.all(grid >= 0.0)
 
 
 def _second_moments(grid):
-    """Variance of a grid's distribution along x and y (m^2)."""
-    c = -grid.extent + grid.cell_size * (np.arange(grid.resolution) + 0.5)
+    """Variance of a GRID-shaped distribution along x and y (m^2)."""
+    cell = 2.0 * GRID["extent"] / GRID["resolution"]
+    c = -GRID["extent"] + cell * (np.arange(GRID["resolution"]) + 0.5)
     variances = []
-    for p in (grid.values.sum(axis=1), grid.values.sum(axis=0)):
+    for p in (grid.sum(axis=1), grid.sum(axis=0)):
         mean = np.sum(c * p) / np.sum(p)
         variances.append(float(np.sum((c - mean) ** 2 * p) / np.sum(p)))
     return variances
@@ -107,7 +117,7 @@ def test_density_second_moment_includes_bandwidth():
     h = 10e-6
     pos = rng.normal(scale=sigma, size=(200000, 2))
     w = np.full(len(pos), 1.0 / math.sqrt(len(pos)))
-    [grid] = density_estimate(w, pos, bandwidth=h)
+    [grid] = density_estimate(w**2, pos, **{**GRID, "bandwidth": h})
     vx, vy = _second_moments(grid)
     assert vx == pytest.approx(sigma**2 + h**2, rel=0.02)
     assert vy == pytest.approx(sigma**2 + h**2, rel=0.02)
@@ -117,15 +127,14 @@ def test_grid_coverage_guard():
     pos = np.array([[0.0, 0.0], [200e-6, 0.0]])   # second atom off-grid
     w = np.array([0.1, 1.0])
     with pytest.raises(GridCoverageError):
-        density_estimate(w, pos, extent=150e-6)
+        density_estimate(w**2, pos, **GRID)
 
 
-def _density_estimate_add_at(weights, positions_xy, extent=150e-6,
+def _density_estimate_add_at(mass, positions_xy, extent=150e-6,
                              resolution=128, bandwidth=10e-6):
     """Reference for density_estimate: one grid, its cloud-in-cell
     deposit made by four sequential np.add.at calls, one per corner, then
     blurred by the products of _blur_matrix."""
-    mass = weights**2
     inside = (np.abs(positions_xy[:, 0]) < extent) \
         & (np.abs(positions_xy[:, 1]) < extent)
     cell = 2.0 * extent / resolution
@@ -188,39 +197,47 @@ def _narrow_clouds(n, resolution, seed):
 @pytest.mark.parametrize("resolution", [64, 128, 200])
 def test_density_matches_add_at_deposit(n, resolution):
     # the blur sums over the occupied rows and columns only, and an
-    # off-grid atom deposits zero mass: neither moves a bit
+    # off-grid atom deposits zero mass: neither moves a bit, in any row
+    grid = {**GRID, "resolution": resolution}
     for w, pos in [_tagged_cloud(n, seed=n + resolution),
                    *_narrow_clouds(n, resolution, seed=n + resolution)]:
-        [grid] = density_estimate(w, pos, resolution=resolution)
-        want = _density_estimate_add_at(w, pos, resolution=resolution)
-        assert np.array_equal(grid.values, want)
+        [got] = density_estimate(w**2, pos, **grid)
+        assert np.array_equal(got, _density_estimate_add_at(
+            w**2, pos, resolution=resolution))
         counts = np.random.default_rng(5).integers(0, 3, size=(2, len(w)))
         counts[:, 0] = 1                    # no replica is empty
-        grids = density_estimate(w, pos, resolution=resolution, counts=counts)
-        assert len(grids) == 3
-        assert np.array_equal(grids[0].values, want)
+        mass = np.vstack((w**2, counts * w**2))
+        grids = density_estimate(mass, pos, **grid)
+        assert grids.shape == (3, resolution, resolution)
+        for m, got in zip(mass, grids):
+            assert np.array_equal(got, _density_estimate_add_at(
+                m, pos, resolution=resolution))
 
 
-def test_density_without_counts_is_the_base_grid_alone():
+def _replica_masses(w, n_reps, seed):
+    """Row 0 the mode's w^2, then n_reps rows k_i w_i^2 of random
+    multiplicities k_i in {0, 1, 2}."""
+    counts = np.random.default_rng(seed).integers(0, 3, (n_reps, len(w)))
+    return np.vstack((w**2, counts * w**2))
+
+
+def test_density_row_is_its_one_row_call():
     w, pos = _tagged_cloud(5000, seed=8)
-    grids = density_estimate(w, pos)
-    [base] = density_estimate(w, pos, counts=np.empty((0, len(w))))
-    assert isinstance(grids, list) and len(grids) == 1
-    assert np.array_equal(grids[0].values, base.values)
+    mass = _replica_masses(w, 3, seed=8)
+    grids = density_estimate(mass, pos, **GRID)
+    assert grids.shape == (4, 128, 128)
+    for m, got in zip(mass, grids):
+        assert np.array_equal(density_estimate(m, pos, **GRID), got[None])
 
 
 @pytest.mark.parametrize("n_reps", [0, 3])
 def test_density_out_holds_the_grids_bit_for_bit(n_reps):
     w, pos = _tagged_cloud(20_000, seed=n_reps)
-    counts = np.random.default_rng(n_reps).integers(0, 3, (n_reps, len(w)))
-    want = density_estimate(w, pos, counts=counts)
+    mass = _replica_masses(w, n_reps, seed=n_reps)
+    want = density_estimate(mass, pos, **GRID)
     out = np.full((1 + n_reps, 128, 128), np.nan)
-    got = density_estimate(w, pos, counts=counts, out=out)
-    assert len(got) == 1 + n_reps
-    for b, (g, ref) in enumerate(zip(got, want)):
-        assert np.shares_memory(g.values, out[b])
-        assert np.array_equal(g.values, ref.values)
-        assert np.array_equal(out[b], ref.values)
+    assert density_estimate(mass, pos, **GRID, out=out) is out
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("out", [
@@ -234,34 +251,37 @@ def test_density_out_holds_the_grids_bit_for_bit(n_reps):
     [[[0.0] * 16] * 16],                    # not an array
 ])
 def test_density_estimate_rejects_bad_out(out):
-    args = dict(weights=[1.0, 1.0, 1.0, 0.01], positions_xy=np.zeros((4, 2)),
-                resolution=16)
+    args = dict(mass=[1.0, 1.0, 1.0, 1e-4], positions_xy=np.zeros((4, 2)),
+                extent=150e-6, resolution=16, bandwidth=10e-6)
     density_estimate(**args, out=np.empty((1, 16, 16)))
     with pytest.raises(ValueError, match="out must be"):
         density_estimate(**args, out=out)
 
 
 @pytest.mark.parametrize("change", [
-    {"weights": [1.0, 1.0, math.nan, 1.0]},
-    {"weights": [1.0, 1.0, 1.0, math.inf]},
-    {"weights": np.ones((4, 1))},
-    {"positions_xy": [[0.0, 0.0]] * 3 + [[math.nan, 0.0]]},   # < 1 % of weight
+    {"mass": [1.0, 1.0, math.nan, 1.0]},
+    {"mass": [1.0, 1.0, 1.0, math.inf]},
+    {"mass": np.ones((4, 1))},
+    {"positions_xy": [[0.0, 0.0]] * 3 + [[math.nan, 0.0]]},   # < 1 % of mass
     {"positions_xy": [[0.0, 0.0]] * 3 + [[0.0, -math.inf]]},
     {"positions_xy": np.zeros((4, 3))},
     {"positions_xy": np.zeros((3, 2))},
-    {"counts": [[1.0, 1.0, math.nan, 1.0]]},
-    {"counts": [[1.0, 1.0, math.inf, 1.0]]},
-    {"counts": [[1.0, 1.0, -1.0, 1.0]]},
-    {"counts": np.ones((2, 3))},
-    {"counts": np.ones(4)},
+    {"mass": [[1.0, 1.0, 1.0, 1e-4], [1.0, 1.0, math.nan, 1.0]]},
+    {"mass": [[1.0, 1.0, 1.0, 1e-4], [1.0, 1.0, math.inf, 1.0]]},
+    {"mass": [[1.0, 1.0, 1.0, 1e-4], [1.0, 1.0, -1.0, 1.0]]},
+    {"mass": np.ones((2, 3))},
+    {"mass": np.ones((1, 2, 4))},
     {"bandwidth": math.nan}, {"bandwidth": math.inf}, {"bandwidth": 0.0},
     {"extent": math.nan}, {"extent": math.inf}, {"extent": 0.0},
     {"extent": -1e-4},
     {"resolution": 0}, {"resolution": 2.5}, {"resolution": True},
+    {"mass": [0.0, 0.0, 0.0, 0.0]},
+    {"mass": [[1.0, 1.0, 1.0, 1e-4], [0.0, 0.0, 0.0, 0.0]]},
 ])
 def test_density_estimate_rejects_bad_input(change):
-    args = dict(weights=[1.0, 1.0, 1.0, 0.01], positions_xy=np.zeros((4, 2)),
-                counts=np.ones((1, 4)), resolution=16)
+    args = dict(mass=[[1.0, 1.0, 1.0, 1e-4], [2.0, 0.0, 1.0, 1e-4]],
+                positions_xy=np.zeros((4, 2)), extent=150e-6, resolution=16,
+                bandwidth=10e-6)
     density_estimate(**args)
     with pytest.raises(ValueError) as err:
         density_estimate(**{**args, **change})
@@ -275,13 +295,13 @@ def test_replica_counts_match_gathered_replica(seed):
     rng = np.random.default_rng(seed)
     picks = [rng.integers(0, len(w), size=len(w)) for _ in range(4)]
     counts = np.array([np.bincount(idx, minlength=len(w)) for idx in picks])
-    grids = density_estimate(w, pos, counts=counts)
-    for idx, got in zip(picks, grids[1:]):
-        want = density_estimate(w[idx], pos[idx])[0].values
-        assert np.max(np.abs(got.values - want)) <= 1e-15 * want.max()
+    grids = density_estimate(counts * w**2, pos, **GRID)
+    for idx, got in zip(picks, grids):
+        [want] = density_estimate(w[idx] ** 2, pos[idx], **GRID)
+        assert np.max(np.abs(got - want)) <= 1e-15 * want.max()
     # a replica that draws every atom once is the base ensemble, bit for bit
-    once = density_estimate(w, pos, counts=np.ones((1, len(w))))
-    assert np.array_equal(once[1].values, once[0].values)
+    once = density_estimate([w**2, np.ones(len(w)) * w**2], pos, **GRID)
+    assert np.array_equal(once[1], once[0])
 
 
 def test_replica_coverage_is_checked_on_its_own_mass():
@@ -289,23 +309,26 @@ def test_replica_coverage_is_checked_on_its_own_mass():
     # of a replica that draws it five times
     pos = np.zeros((200, 2))
     pos[0] = [200e-6, 0.0]
-    w = np.full(200, 200**-0.5)
-    density_estimate(w, pos)
-    counts = np.ones((1, 200))
-    counts[0, 0] = 5
+    mass = np.full((2, 200), 1.0 / 200)
+    density_estimate(mass[0], pos, **GRID)
+    mass[1, 0] *= 5
     with pytest.raises(GridCoverageError):
-        density_estimate(w, pos, counts=counts)
+        density_estimate(mass, pos, **GRID)
 
 
 def test_overlap_identity_and_symmetry():
     rng = np.random.default_rng(3)
     w = np.full(10000, 1.0 / 100.0)
-    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(10000, 2)))
-    [b] = density_estimate(w, rng.normal(scale=45e-6, size=(10000, 2)))
-    assert mode_overlap(a, a) == pytest.approx(1.0, rel=1e-9)
-    r_ab, r_ba = mode_overlap(a, b), mode_overlap(b, a)
+    [a] = density_estimate(w**2, rng.normal(scale=30e-6, size=(10000, 2)),
+                           **GRID)
+    [b] = density_estimate(w**2, rng.normal(scale=45e-6, size=(10000, 2)),
+                           **GRID)
+    assert _overlap(a, a) == pytest.approx(1.0, rel=1e-9)
+    r_ab, r_ba = _overlap(a, b), _overlap(b, a)
     assert r_ab == pytest.approx(r_ba, rel=1e-12)
     assert 0.0 < r_ab < 1.0
+    # the squared sum of the roots' products, in that order of operations
+    assert r_ab == float(np.sum(np.sqrt(a) * np.sqrt(b)) * CELL_AREA) ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,12 +339,14 @@ def test_overlap_symmetric_bounded_and_one_on_itself(seed, n, spreads,
                                                      resolution, bandwidth):
     rng = np.random.default_rng(seed)
     [a], [b] = (density_estimate(
-        rng.random(n) + 0.01,
+        (rng.random(n) + 0.01) ** 2,
         np.clip(rng.normal(scale=s, size=(n, 2)), -140e-6, 140e-6),
-        resolution=resolution, bandwidth=bandwidth) for s in spreads)
-    assert mode_overlap(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert mode_overlap(a, b) == mode_overlap(b, a)
-    assert 0.0 <= mode_overlap(a, b) <= 1.0 + 1e-12
+        extent=150e-6, resolution=resolution, bandwidth=bandwidth)
+        for s in spreads)
+    area = (300e-6 / resolution) ** 2
+    assert _overlap(a, a, area) == pytest.approx(1.0, abs=1e-12)
+    assert _overlap(a, b, area) == _overlap(b, a, area)
+    assert 0.0 <= _overlap(a, b, area) <= 1.0 + 1e-12
 
 
 def test_overlap_gaussian_closed_form():
@@ -333,29 +358,21 @@ def test_overlap_gaussian_closed_form():
     w = np.full(n, n**-0.5)
     d = 40e-6
     h = 3e-6
-    [a] = density_estimate(w, base, bandwidth=h)
-    [b] = density_estimate(w, base + np.array([d, 0.0]), bandwidth=h)
+    grid = {**GRID, "bandwidth": h}
+    [a] = density_estimate(w**2, base, **grid)
+    [b] = density_estimate(w**2, base + np.array([d, 0.0]), **grid)
     s2 = (30e-6) ** 2 + h**2
-    assert mode_overlap(a, b) == pytest.approx(
+    assert _overlap(a, b) == pytest.approx(
         math.exp(-d**2 / (4 * s2)), rel=0.01)
 
 
-def test_overlap_roots_first_grid_once():
-    rng = np.random.default_rng(6)
-    w = np.full(5000, 5000**-0.5)
-    [a] = density_estimate(w, rng.normal(scale=30e-6, size=(5000, 2)))
-    [b] = density_estimate(w, rng.normal(scale=40e-6, size=(5000, 2)))
-    bc = np.sum(np.sqrt(a.values) * np.sqrt(b.values)) * a.cell_area
-    assert mode_overlap(a, b) == float(bc) ** 2
-    assert a.root is a.root and np.array_equal(a.root, np.sqrt(a.values))
-
-
-def test_overlap_requires_matching_grids():
-    w = np.array([1.0])
-    [a] = density_estimate(w, np.zeros((1, 2)), resolution=64)
-    [b] = density_estimate(w, np.zeros((1, 2)), resolution=128)
-    with pytest.raises(ValueError):
-        mode_overlap(a, b)
+def test_overlap_requires_matching_shapes():
+    [a] = density_estimate([1.0], np.zeros((1, 2)),
+                           **{**GRID, "resolution": 64})
+    [b] = density_estimate([1.0], np.zeros((1, 2)), **GRID)
+    for r0, rt in ((a, b), (b, a), (b, b[None]), (b[:, :64], b[:64])):
+        with pytest.raises(ValueError, match="grids do not match"):
+            mode_overlap(r0, rt, CELL_AREA)
 
 
 def test_atom_survival_examples():
@@ -412,9 +429,9 @@ def test_grid_resolution_convergence():
     w = np.full(n, n**-0.5)
     vals = []
     for res in (128, 256):
-        [a] = density_estimate(w, base, resolution=res)
-        [b] = density_estimate(w, moved, resolution=res)
-        vals.append(mode_overlap(a, b))
+        [a] = density_estimate(w**2, base, **{**GRID, "resolution": res})
+        [b] = density_estimate(w**2, moved, **{**GRID, "resolution": res})
+        vals.append(_overlap(a, b, (300e-6 / res) ** 2))
     assert vals[0] == pytest.approx(vals[1], rel=0.01)
 
 
